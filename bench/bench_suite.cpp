@@ -319,94 +319,6 @@ bool RunSustainedSection(bench::JsonReport& report) {
   return true;
 }
 
-/// The cross-epoch pipelining dimension: the same sustained Nezha workload
-/// driven by the batch driver (depth 0) and the EpochPipeline at depths
-/// 1/2/4 (node/pipeline.h). Emits epochs/sec and per-epoch hand-off ->
-/// durable-commit latency p50/p95; check_bench_regression gates pipelined
-/// throughput against the depth-0 row and the latency ratio against the
-/// committed baseline's ratio. Serial siblings (one batch serial run,
-/// re-emitted per depth with matching params) are the ratio-mode
-/// denominator so the throughput comparison survives machine changes.
-bool RunPipelinedSection(bench::JsonReport& report) {
-  SustainedLoadConfig base;
-  base.block_size = bench::EnvSize("NEZHA_BENCH_BLOCK_SIZE", 200);
-  base.block_concurrency =
-      bench::EnvSize("NEZHA_BENCH_SUSTAINED_CONCURRENCY", 4);
-  base.epochs = bench::EnvSize("NEZHA_BENCH_PIPELINED_EPOCHS", 8);
-  base.skew = 0.6;
-  base.seed = 93'000;
-
-  SustainedLoadConfig serial_config = base;
-  serial_config.scheme = SchemeKind::kSerial;
-  const auto serial = RunSustainedLoadPipelined(serial_config, 0);
-  if (!serial.ok()) {
-    std::fprintf(stderr, "bench_suite: pipelined serial failed: %s\n",
-                 serial.status().message().c_str());
-    return false;
-  }
-
-  bench::Row({"depth", "tps", "epochs/s", "ep-p50(ms)", "ep-p95(ms)",
-              "overlap(ms)", "speedup*"});
-  base.scheme = SchemeKind::kNezha;
-  for (const std::size_t depth : {0, 1, 2, 4}) {
-    const auto run = RunSustainedLoadPipelined(base, depth);
-    if (!run.ok()) {
-      std::fprintf(stderr, "bench_suite: pipelined depth %zu failed: %s\n",
-                   depth, run.status().message().c_str());
-      return false;
-    }
-    JsonResult result;
-    result.bench = "sustained_pipelined";
-    result.scheme = "nezha";
-    result.params.Set("workload", "smallbank");
-    result.params.Set("skew", base.skew);
-    result.params.Set("block_size", base.block_size);
-    result.params.Set("block_concurrency", base.block_concurrency);
-    result.params.Set("epochs", base.epochs);
-    result.params.Set("seed", base.seed);
-    result.params.Set("depth", depth);
-    result.throughput_tps = run->load.throughput_tps;
-    result.latency_ms = run->epoch_latency_p50_ms;
-    result.abort_rate = run->load.AbortRate();
-    result.extra.Set("epochs_per_sec", run->epochs_per_sec);
-    result.extra.Set("epoch_latency_p50_ms", run->epoch_latency_p50_ms);
-    result.extra.Set("epoch_latency_p95_ms", run->epoch_latency_p95_ms);
-    result.extra.Set("wall_ms", run->load.wall_ms);
-    result.extra.Set("overlap_ms", run->stats.overlap_us / 1000.0);
-    result.extra.Set("tail_ms", run->stats.tail_us / 1000.0);
-    result.extra.Set("prepare_ms", run->stats.prepare_us / 1000.0);
-    result.extra.Set("commit_ms", run->stats.commit_us / 1000.0);
-    result.extra.Set("backpressure_waits",
-                     run->stats.backpressure_waits);
-    result.extra.Set("modelled_speedup", run->modelled_speedup);
-    report.Add(result);
-
-    // Serial sibling with identical params: the ratio-mode denominator.
-    JsonResult sibling;
-    sibling.bench = "sustained_pipelined";
-    sibling.scheme = "serial";
-    sibling.params = result.params;
-    sibling.throughput_tps = serial->load.throughput_tps;
-    sibling.latency_ms = serial->epoch_latency_p50_ms;
-    sibling.abort_rate = serial->load.AbortRate();
-    sibling.extra.Set("epochs_per_sec", serial->epochs_per_sec);
-    sibling.extra.Set("epoch_latency_p50_ms",
-                      serial->epoch_latency_p50_ms);
-    sibling.extra.Set("epoch_latency_p95_ms",
-                      serial->epoch_latency_p95_ms);
-    report.Add(sibling);
-
-    bench::Row({bench::FmtInt(depth),
-                bench::Fmt(run->load.throughput_tps, 1),
-                bench::Fmt(run->epochs_per_sec, 2),
-                bench::Fmt(run->epoch_latency_p50_ms, 2),
-                bench::Fmt(run->epoch_latency_p95_ms, 2),
-                bench::Fmt(run->stats.overlap_us / 1000.0, 2),
-                bench::Fmt(run->modelled_speedup, 3)});
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -492,12 +404,6 @@ int main(int argc, char** argv) {
          "steady arrival, open pipeline; exact per-tx e2e percentiles "
          "(submitted -> durably committed)");
   if (!RunSustainedSection(report)) return 1;
-
-  Header("Cross-epoch pipelining — sustained load through EpochPipeline",
-         "batch (depth 0) vs pipelined depth 1/2/4; per-epoch hand-off -> "
-         "durable-commit latency; *speedup modelled from measured overlap "
-         "(docs/PARALLELISM.md)");
-  if (!RunPipelinedSection(report)) return 1;
 
   if (!report.WriteTo(json_path)) {
     std::fprintf(stderr, "bench_suite: cannot write %s\n", json_path.c_str());

@@ -155,15 +155,7 @@ int main(int argc, char** argv) {
     const double cur_norm = normalized(cur, cur_index);
     const double floor = base_norm * (1.0 - options.tolerance);
     const char* unit = options.ratio_mode ? "x serial" : "tps";
-    // sustained_pipelined rows are gated by the dedicated pipelined section
-    // below, self-consistently within the current file: the cross-file ratio
-    // of a wall-clock sustained bench is too noisy to gate twice.
-    const bool pipelined_row =
-        base["bench"].AsString() == "sustained_pipelined";
-    if (pipelined_row) {
-      std::printf("ok   %-40s throughput %.3f %s (pipelined section gates)\n",
-                  key.c_str(), cur_norm, unit);
-    } else if (cur_norm < floor) {
+    if (cur_norm < floor) {
       std::printf("FAIL %-40s throughput %.3f %s < floor %.3f (base %.3f)\n",
                   key.c_str(), cur_norm, unit, floor, base_norm);
       ++failures;
@@ -239,97 +231,6 @@ int main(int argc, char** argv) {
         std::printf("ok   %-40s %s %.3f %s (base %.3f%s)\n", key.c_str(),
                     field, cur_lat, lat_unit, base_lat,
                     gated ? "" : ", ungated");
-      }
-    }
-  }
-
-  // Cross-epoch pipelining gate (the bench_suite "sustained_pipelined"
-  // section): self-consistent within the CURRENT file, so machine speed
-  // cancels by construction.
-  //  * Throughput: every pipelined depth must stay within --tolerance of
-  //    the depth-0 batch reference, and depth >= 2 must additionally show
-  //    measured commit/prepare overlap (modelled_speedup > 1) — the
-  //    pipeline must never cost throughput and must actually overlap.
-  //  * Latency: per-epoch p95 grows with depth by design (in-window
-  //    queueing), so the RATIO p95(depth)/p95(batch) is gated against the
-  //    same ratio in the baseline with --latency-tolerance headroom.
-  {
-    const auto pipelined_rows = [](const Value& doc) {
-      std::unordered_map<int, const Value*> by_depth;
-      for (const Value& result : doc["results"].AsArray()) {
-        if (result["bench"].AsString() != "sustained_pipelined" ||
-            result["scheme"].AsString() != "nezha") {
-          continue;
-        }
-        by_depth[static_cast<int>(result["params"]["depth"].AsDouble())] =
-            &result;
-      }
-      return by_depth;
-    };
-    const auto cur_rows = pipelined_rows(*current);
-    const auto base_rows = pipelined_rows(*baseline);
-    const auto batch = cur_rows.find(0);
-    if (!cur_rows.empty() && batch == cur_rows.end()) {
-      std::printf("FAIL sustained_pipelined: no depth-0 batch reference\n");
-      ++failures;
-    }
-    if (batch != cur_rows.end()) {
-      const double batch_tps = (*batch->second)["throughput_tps"].AsDouble();
-      const double batch_p95 =
-          (*batch->second)["epoch_latency_p95_ms"].AsDouble();
-      for (const auto& [depth, row] : cur_rows) {
-        if (depth == 0) continue;
-        const std::string key =
-            "sustained_pipelined depth=" + std::to_string(depth);
-        const double tps = (*row)["throughput_tps"].AsDouble();
-        const double floor = batch_tps * (1.0 - options.tolerance);
-        if (tps < floor) {
-          std::printf("FAIL %-40s tps %.1f < batch floor %.1f (batch %.1f)\n",
-                      key.c_str(), tps, floor, batch_tps);
-          ++failures;
-        } else {
-          std::printf("ok   %-40s tps %.1f (batch %.1f)\n", key.c_str(), tps,
-                      batch_tps);
-        }
-        if (depth >= 2) {
-          const double speedup = (*row)["modelled_speedup"].AsDouble();
-          if (speedup <= 1.0) {
-            std::printf(
-                "FAIL %-40s modelled speedup %.3f <= 1 (no overlap)\n",
-                key.c_str(), speedup);
-            ++failures;
-          } else {
-            std::printf("ok   %-40s modelled speedup %.3fx\n", key.c_str(),
-                        speedup);
-          }
-        }
-        const double p95 = (*row)["epoch_latency_p95_ms"].AsDouble();
-        const double cur_ratio = batch_p95 > 0 ? p95 / batch_p95 : 0;
-        const auto base_row = base_rows.find(depth);
-        const auto base_batch = base_rows.find(0);
-        if (base_row != base_rows.end() && base_batch != base_rows.end()) {
-          const double bb_p95 =
-              (*base_batch->second)["epoch_latency_p95_ms"].AsDouble();
-          const double base_ratio =
-              bb_p95 > 0 ? (*base_row->second)["epoch_latency_p95_ms"]
-                                   .AsDouble() /
-                               bb_p95
-                         : 0;
-          const double ceiling =
-              base_ratio * (1.0 + options.latency_tolerance);
-          if (base_ratio > 0 && cur_ratio > ceiling) {
-            std::printf(
-                "FAIL %-40s p95 ratio %.3f > ceiling %.3f (base %.3f)\n",
-                key.c_str(), cur_ratio, ceiling, base_ratio);
-            ++failures;
-          } else {
-            std::printf("ok   %-40s p95 ratio %.3f (base %.3f)\n",
-                        key.c_str(), cur_ratio, base_ratio);
-          }
-        } else {
-          std::printf("ok   %-40s p95 ratio %.3f (no baseline, ungated)\n",
-                      key.c_str(), cur_ratio);
-        }
       }
     }
   }

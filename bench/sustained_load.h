@@ -29,13 +29,11 @@
 
 #include <algorithm>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "ledger/epoch.h"
 #include "node/full_node.h"
 #include "node/mempool.h"
-#include "node/pipeline.h"
 #include "obs/metrics.h"
 #include "obs/tx_lifecycle.h"
 #include "workload/smallbank_workload.h"
@@ -260,162 +258,6 @@ inline Result<SustainedLoadResult> RunSustainedLoad(
                 (result.wall_ms / 1000.0)
           : 0;
   return result;
-}
-
-/// Sustained load through the cross-epoch pipeline (node/pipeline.h): the
-/// same steady-arrival admission as RunSustainedLoad, but confirmed epochs
-/// are handed to an EpochPipeline at the given depth instead of processed
-/// inline, so epoch N's durable tail overlaps epoch N+1's prepare half.
-/// Latency here is per EPOCH (hand-off -> durable commit), not per
-/// transaction: it includes the in-window queueing a deeper pipeline trades
-/// for throughput — the number the bench regression gate ratio-checks
-/// against the depth-0 batch reference.
-struct PipelinedSustainedResult {
-  SustainedLoadResult load;  ///< counts + wall + throughput (e2e_* unused)
-  std::size_t depth = 0;     ///< 0 = batch reference (inline ProcessEpoch)
-  double epochs_per_sec = 0;
-  double epoch_latency_p50_ms = 0;
-  double epoch_latency_p95_ms = 0;
-  /// Overlap accounting; default-empty for the depth-0 batch reference.
-  PipelineStats stats;
-  /// Speedup the measured overlap implies on a machine with cores to spare:
-  /// (prepare + commit) / (prepare + commit - overlap). 1.0 when no overlap
-  /// was observed; always 1.0 at depth 0.
-  double modelled_speedup = 1.0;
-};
-
-inline Result<PipelinedSustainedResult> RunSustainedLoadPipelined(
-    const SustainedLoadConfig& config, std::size_t depth) {
-  if (config.block_size == 0 || config.block_concurrency == 0 ||
-      config.epochs == 0) {
-    return Status::InvalidArgument("block size/concurrency/epochs must be > 0");
-  }
-  const std::size_t epoch_txs = config.block_size * config.block_concurrency;
-  const std::size_t arrival =
-      config.arrival_per_tick == 0 ? epoch_txs : config.arrival_per_tick;
-
-  NodeConfig node_config;
-  node_config.scheme = config.scheme;
-  node_config.max_chains = std::max<ChainId>(
-      12, static_cast<ChainId>(config.block_concurrency));
-  FullNode node(node_config, nullptr);
-
-  WorkloadConfig workload_config;
-  workload_config.num_accounts = config.num_accounts;
-  workload_config.skew = config.skew;
-  SmallBankWorkload workload(workload_config, config.seed);
-  SmallBankWorkload::InitAccounts(node.state(), config.num_accounts,
-                                  config.initial_balance,
-                                  config.initial_balance);
-  if (Status s = node.state().Flush(); !s.ok()) return s;
-  node.ledger().CommitEpochRoot(0, node.state().RootHash());
-
-  Mempool mempool(std::max<std::size_t>(
-      100'000, arrival * config.epochs + epoch_txs));
-
-  PipelinedSustainedResult out;
-  out.depth = depth;
-  PipelineOptions options;
-  options.depth = depth == 0 ? 1 : depth;
-  std::unique_ptr<EpochPipeline> pipeline;
-  if (depth > 0) pipeline = std::make_unique<EpochPipeline>(node, options);
-
-  std::deque<std::vector<std::vector<Transaction>>> confirmed;
-  std::vector<double> inline_latency_ms;  ///< depth-0 per-epoch wall
-  std::size_t epochs_confirmed = 0;
-  EpochId next_executed = 1;
-  const double start_us = obs::TxLifecycleTracer::NowUs();
-
-  const auto process_one = [&]() -> Status {
-    if (confirmed.empty()) return Status::Ok();
-    std::vector<std::vector<Transaction>> chains =
-        std::move(confirmed.front());
-    confirmed.pop_front();
-    const EpochId epoch = next_executed++;
-    if (pipeline != nullptr) {
-      // Submit blocks while `depth` epochs are in flight — the pipeline's
-      // own backpressure paces the admission loop.
-      return pipeline->Submit(epoch, std::move(chains));
-    }
-    const double t0 = obs::TxLifecycleTracer::NowUs();
-    for (ChainId chain = 0;
-         chain < static_cast<ChainId>(chains.size()); ++chain) {
-      Block block =
-          node.ledger().BuildBlock(chain, epoch, std::move(chains[chain]));
-      if (Status s = node.ledger().AppendBlock(std::move(block)); !s.ok()) {
-        return s;
-      }
-    }
-    auto batch = node.ledger().SealEpoch(epoch);
-    if (!batch.ok()) return batch.status();
-    auto report = node.ProcessEpoch(*batch);
-    if (!report.ok()) return report.status();
-    inline_latency_ms.push_back(
-        (obs::TxLifecycleTracer::NowUs() - t0) / 1000.0);
-    out.load.total_txs += report->txs;
-    out.load.total_committed += report->committed;
-    out.load.total_aborted += report->aborted;
-    ++out.load.epochs_processed;
-    return Status::Ok();
-  };
-
-  for (std::size_t tick = 0; tick < config.epochs; ++tick) {
-    mempool.AddAll(workload.MakeBatch(arrival));
-    while (mempool.PendingCount() >= epoch_txs &&
-           epochs_confirmed < config.epochs) {
-      ++epochs_confirmed;
-      std::vector<std::vector<Transaction>> chains;
-      chains.reserve(config.block_concurrency);
-      for (std::size_t chain = 0; chain < config.block_concurrency;
-           ++chain) {
-        chains.push_back(mempool.TakeBatch(config.block_size));
-      }
-      confirmed.push_back(std::move(chains));
-    }
-    if (Status s = process_one(); !s.ok()) return s;
-  }
-  while (!confirmed.empty()) {
-    if (Status s = process_one(); !s.ok()) return s;
-  }
-
-  std::vector<double> latency_ms;
-  if (pipeline != nullptr) {
-    auto reports = pipeline->Drain();
-    if (!reports.ok()) return reports.status();
-    for (const EpochReport& r : *reports) {
-      out.load.total_txs += r.txs;
-      out.load.total_committed += r.committed;
-      out.load.total_aborted += r.aborted;
-      ++out.load.epochs_processed;
-    }
-    out.stats = pipeline->stats();
-    latency_ms = out.stats.epoch_latency_ms;
-    const double halves = out.stats.prepare_us + out.stats.commit_us;
-    if (halves > out.stats.overlap_us && out.stats.overlap_us > 0) {
-      out.modelled_speedup = halves / (halves - out.stats.overlap_us);
-    }
-  } else {
-    latency_ms = std::move(inline_latency_ms);
-  }
-
-  out.load.wall_ms =
-      (obs::TxLifecycleTracer::NowUs() - start_us) / 1000.0;
-  out.load.throughput_tps =
-      out.load.wall_ms > 0
-          ? static_cast<double>(out.load.total_committed) /
-                (out.load.wall_ms / 1000.0)
-          : 0;
-  out.epochs_per_sec =
-      out.load.wall_ms > 0
-          ? static_cast<double>(out.load.epochs_processed) /
-                (out.load.wall_ms / 1000.0)
-          : 0;
-  if (!latency_ms.empty()) {
-    std::sort(latency_ms.begin(), latency_ms.end());
-    out.epoch_latency_p50_ms = PercentileOfSorted(latency_ms, 50);
-    out.epoch_latency_p95_ms = PercentileOfSorted(latency_ms, 95);
-  }
-  return out;
 }
 
 }  // namespace nezha::bench

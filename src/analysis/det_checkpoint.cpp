@@ -25,21 +25,6 @@ bool EnvDefault() {
   return kResolved;
 }
 
-// Per-thread routing of Record calls to a specific (epoch, scheme) slot.
-// The cross-epoch pipeline has two epochs open at once (commit thread on N,
-// prepare thread on N+1); without a binding, whichever thread called
-// BeginEpoch last would steal the other's records. Owner + generation guard
-// against bindings outliving their recorder's contents (Clear) or leaking
-// across distinct recorder instances (unit tests construct local ones).
-struct ThreadBinding {
-  const void* owner = nullptr;
-  std::uint64_t generation = 0;
-  EpochId epoch = 0;
-  std::string scheme;
-  bool bound = false;
-};
-thread_local ThreadBinding t_det_binding;
-
 }  // namespace
 
 const char* DetStageName(DetStage stage) {
@@ -95,8 +80,6 @@ bool DetCheckpointRecorder::capture() const {
 void DetCheckpointRecorder::BeginEpoch(EpochId epoch, std::string_view scheme) {
   if (!enabled()) return;
   MutexLock lock(mutex_);
-  t_det_binding = ThreadBinding{this, generation_, epoch, std::string(scheme),
-                                true};
   for (std::size_t i = 0; i < ring_.size(); ++i) {
     if (ring_[i].epoch == epoch && ring_[i].scheme == scheme) {
       open_ = i;
@@ -115,41 +98,16 @@ void DetCheckpointRecorder::BeginEpoch(EpochId epoch, std::string_view scheme) {
   open_ = ring_.size() - 1;
 }
 
-void DetCheckpointRecorder::BindThread(EpochId epoch, std::string_view scheme) {
-  if (!enabled()) return;
-  MutexLock lock(mutex_);
-  t_det_binding = ThreadBinding{this, generation_, epoch, std::string(scheme),
-                                true};
-}
-
-void DetCheckpointRecorder::UnbindThread() {
-  if (t_det_binding.owner == this) t_det_binding = ThreadBinding{};
-}
-
 void DetCheckpointRecorder::Record(DetStage stage,
                                    std::string_view canonical) {
   if (!enabled()) return;
   Hash256 digest = Sha256::Digest(canonical);
   MutexLock lock(mutex_);
-  std::size_t slot = SIZE_MAX;
-  if (t_det_binding.bound && t_det_binding.owner == this &&
-      t_det_binding.generation == generation_) {
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      if (ring_[i].epoch == t_det_binding.epoch &&
-          ring_[i].scheme == t_det_binding.scheme) {
-        slot = i;
-        break;
-      }
-    }
-    if (slot == SIZE_MAX) return;  // bound epoch shed from the ring
-  } else {
-    if (open_ == SIZE_MAX || open_ >= ring_.size()) return;
-    slot = open_;
-  }
+  if (open_ == SIZE_MAX || open_ >= ring_.size()) return;
   if (perturb_.has_value() && *perturb_ == stage) {
     digest.bytes[0] ^= 0xA5;  // simulate a stage-local nondeterminism bug
   }
-  EpochCheckpoints& record = ring_[slot];
+  EpochCheckpoints& record = ring_[open_];
   const auto i = static_cast<std::size_t>(stage);
   record.digest[i] = digest;
   record.present[i] = true;
@@ -191,7 +149,6 @@ void DetCheckpointRecorder::Clear() {
   MutexLock lock(mutex_);
   ring_.clear();
   open_ = SIZE_MAX;
-  ++generation_;  // invalidate every thread's binding
 }
 
 std::size_t FirstDifferingLine(std::string_view a, std::string_view b,

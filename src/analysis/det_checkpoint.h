@@ -107,21 +107,8 @@ class DetCheckpointRecorder {
 
   /// Opens the record for `epoch`; subsequent Record calls land in it. An
   /// epoch re-opened under the same (epoch, scheme) key reuses its slot so
-  /// multi-phase pipelines accumulate one record per epoch. Also binds the
-  /// CALLING thread to (epoch, scheme) — see BindThread.
+  /// multi-phase pipelines accumulate one record per epoch.
   void BeginEpoch(EpochId epoch, std::string_view scheme);
-
-  /// Binds the calling thread's Record calls to the (epoch, scheme) slot,
-  /// regardless of which epoch was opened last. The cross-epoch pipeline
-  /// needs this: the commit thread records epoch N's kExecute/kCommit while
-  /// the prepare thread has already opened (and bound itself to) epoch N+1 —
-  /// without the binding, N's records would land in N+1's slot. A bound
-  /// Record whose slot was shed from the ring is a no-op. Bindings are
-  /// invalidated by Clear().
-  void BindThread(EpochId epoch, std::string_view scheme);
-  /// Drops the calling thread's binding (falls back to the last-opened
-  /// epoch, the pre-pipelining behaviour).
-  void UnbindThread();
 
   /// Digests `canonical` into the current epoch's `stage` slot. No-op when
   /// disabled or when no epoch is open (e.g. scheduler unit tests building
@@ -150,9 +137,6 @@ class DetCheckpointRecorder {
   std::size_t capacity_;
   std::vector<EpochCheckpoints> ring_ GUARDED_BY(mutex_);
   std::size_t open_ GUARDED_BY(mutex_) = SIZE_MAX;  ///< index into ring_
-  /// Bumped by Clear(); thread bindings stamped with an older generation are
-  /// stale and ignored (Record falls back to the open_ cursor).
-  std::uint64_t generation_ GUARDED_BY(mutex_) = 1;
   std::optional<bool> enabled_override_ GUARDED_BY(mutex_);
   bool capture_ GUARDED_BY(mutex_) = false;
   std::optional<DetStage> perturb_ GUARDED_BY(mutex_);

@@ -172,6 +172,7 @@ AddressConflictGraph AddressConflictGraph::BuildSharded(
   // ---- Global subscripts: k-way merge of the per-shard sorted address
   // lists into ascending address order — identical to Build()'s sort.
   AddressConflictGraph acg;
+  acg.shards_ = shards;
   {
     std::size_t total = 0;
     for (const auto& addrs : shard_addrs) total += addrs.size();
@@ -256,209 +257,6 @@ AddressConflictGraph AddressConflictGraph::BuildSharded(
     for (const std::uint64_t key : edges) {
       acg.dependencies_->AddEdge(static_cast<Digraph::Vertex>(key >> 32),
                                  static_cast<Digraph::Vertex>(key & 0xffffffff));
-    }
-  }
-
-  if (obs::MetricsEnabled()) {
-    auto& registry = obs::Registry();
-    registry.GetCounter("nezha_parallel_acg_builds_total")->Inc();
-    MutexLock lock(merge.mutex);
-    registry.GetGauge("nezha_parallel_acg_shards")
-        ->Set(static_cast<std::int64_t>(shards));
-    registry.GetGauge("nezha_parallel_acg_max_shard_addresses")
-        ->Set(static_cast<std::int64_t>(merge.max_shard_addresses));
-  }
-  return acg;
-}
-
-/// Per-(segment, shard) scatter buckets. One segment per AppendTxs call (or
-/// per scatter chunk within a call): segments accumulate in arrival order,
-/// so concatenating a shard's buckets segment-by-segment visits units in
-/// ascending TxIndex — the same invariant BuildSharded gets from chunk
-/// order, and the reason Seal's fill phase needs no sort.
-struct AcgBuilder::Scatter {
-  /// (write-address, read-address) of one Definition 3 dependency; address
-  /// subscripts do not exist until Seal, so pairs stay as raw addresses.
-  struct AddrPair {
-    std::uint64_t w;
-    std::uint64_t r;
-  };
-
-  std::vector<std::vector<std::vector<Unit>>> reads;     ///< [seg][shard]
-  std::vector<std::vector<std::vector<Unit>>> writes;    ///< [seg][shard]
-  std::vector<std::vector<std::vector<AddrPair>>> edges; ///< [seg][w-shard]
-};
-
-AcgBuilder::AcgBuilder(ThreadPool* pool, std::size_t num_shards)
-    : pool_(pool),
-      num_shards_(num_shards),
-      scatter_(std::make_unique<Scatter>()) {}
-
-AcgBuilder::~AcgBuilder() = default;
-
-void AcgBuilder::AppendTxs(std::span<const ReadWriteSet> rwsets) {
-  if (rwsets.empty()) return;
-  if (shards_ == 0) {
-    shards_ = num_shards_ != 0 ? num_shards_
-                               : (pool_ != nullptr ? pool_->size() : 1);
-    if (shards_ == 0) shards_ = 1;
-  }
-  const auto base = static_cast<TxIndex>(rwsets_.size());
-  rwsets_.insert(rwsets_.end(), rwsets.begin(), rwsets.end());
-
-  const std::size_t shards = shards_;
-  const auto shard_of = [shards](std::uint64_t a) {
-    return static_cast<std::size_t>(MixAddress(a) % shards);
-  };
-  const std::size_t max_chunks =
-      pool_ != nullptr ? std::max<std::size_t>(1, pool_->size()) : 1;
-  std::vector<std::vector<std::vector<Unit>>> read_seg(max_chunks);
-  std::vector<std::vector<std::vector<Unit>>> write_seg(max_chunks);
-  std::vector<std::vector<std::vector<Scatter::AddrPair>>> edge_seg(
-      max_chunks);
-  for (std::size_t c = 0; c < max_chunks; ++c) {
-    read_seg[c].resize(shards);
-    write_seg[c].resize(shards);
-    edge_seg[c].resize(shards);
-  }
-  const auto scatter_range = [&](std::size_t lo, std::size_t hi,
-                                 std::size_t slot) {
-    obs::TraceSpan span("acg_append_scatter");
-    for (std::size_t i = lo; i < hi; ++i) {
-      const ReadWriteSet& rw = rwsets[i];
-      if (!rw.ok) continue;
-      const TxIndex t = base + static_cast<TxIndex>(i);
-      for (Address a : rw.reads) {
-        read_seg[slot][shard_of(a.value)].push_back({a.value, t});
-      }
-      for (Address a : rw.writes) {
-        write_seg[slot][shard_of(a.value)].push_back({a.value, t});
-        const std::size_t s = shard_of(a.value);
-        for (Address r : rw.reads) {
-          if (r == a) continue;
-          edge_seg[slot][s].push_back({a.value, r.value});
-        }
-      }
-    }
-  };
-  if (pool_ != nullptr && pool_->size() > 1 && shards > 1) {
-    obs::StageScope stage("acg_build");
-    pool_->ParallelForChunked(0, rwsets.size(), scatter_range);
-  } else {
-    scatter_range(0, rwsets.size(), 0);
-  }
-  // Chunk slots cover ascending index ranges, so pushing them in slot order
-  // keeps the segment stream TxIndex-sorted.
-  for (std::size_t c = 0; c < max_chunks; ++c) {
-    scatter_->reads.push_back(std::move(read_seg[c]));
-    scatter_->writes.push_back(std::move(write_seg[c]));
-    scatter_->edges.push_back(std::move(edge_seg[c]));
-  }
-}
-
-AddressConflictGraph AcgBuilder::Seal() {
-  const std::size_t shards = shards_ == 0 ? 1 : shards_;
-  if (pool_ == nullptr || pool_->size() <= 1 || shards <= 1 ||
-      rwsets_.size() < kShardedBuildMinTxs) {
-    // Same fallback boundary as BuildSharded, decided on the TOTAL appended
-    // count — and the same honest one-shard gauge.
-    if (obs::MetricsEnabled()) {
-      obs::Registry().GetGauge("nezha_parallel_acg_shards")->Set(1);
-    }
-    return AddressConflictGraph::Build(rwsets_);
-  }
-  obs::TraceSpan build_span("acg_seal_incremental");
-  obs::StageScope stage("acg_build");
-  ThreadPool& pool = *pool_;
-  const std::size_t segments = scatter_->reads.size();
-
-  // ---- Per-shard merge over every accumulated segment: identical to
-  // BuildSharded's shard merge, with (segment) in place of (chunk).
-  ShardMergeState merge;
-  std::vector<std::vector<std::uint64_t>> shard_addrs(shards);
-  pool.ParallelFor(0, shards, [&](std::size_t s) {
-    obs::TraceSpan span("acg_shard_merge_" + std::to_string(s));
-    std::vector<std::uint64_t>& addrs = shard_addrs[s];
-    for (std::size_t seg = 0; seg < segments; ++seg) {
-      for (const Unit& u : scatter_->reads[seg][s]) addrs.push_back(u.address);
-      for (const Unit& u : scatter_->writes[seg][s]) {
-        addrs.push_back(u.address);
-      }
-    }
-    std::sort(addrs.begin(), addrs.end());
-    addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
-    MutexLock lock(merge.mutex);
-    merge.addresses += addrs.size();
-    merge.max_shard_addresses =
-        std::max(merge.max_shard_addresses, addrs.size());
-  });
-
-  // ---- Global subscripts: the same k-way min-scan BuildSharded runs.
-  AddressConflictGraph acg;
-  {
-    std::size_t total = 0;
-    for (const auto& addrs : shard_addrs) total += addrs.size();
-    acg.entries_.reserve(total);
-    acg.index_.reserve(total);
-    std::vector<std::size_t> heads(shards, 0);
-    for (;;) {
-      std::size_t best = shards;
-      for (std::size_t s = 0; s < shards; ++s) {
-        if (heads[s] == shard_addrs[s].size()) continue;
-        if (best == shards ||
-            shard_addrs[s][heads[s]] < shard_addrs[best][heads[best]]) {
-          best = s;
-        }
-      }
-      if (best == shards) break;
-      const std::uint64_t a = shard_addrs[best][heads[best]++];
-      acg.index_.emplace(a, acg.entries_.size());
-      acg.entries_.push_back(AddressRWSet{Address(a), {}, {}});
-    }
-  }
-
-  // ---- Per-shard fill in segment order == ascending TxIndex order.
-  pool.ParallelFor(0, shards, [&](std::size_t s) {
-    obs::TraceSpan span("acg_shard_fill_" + std::to_string(s));
-    for (std::size_t seg = 0; seg < segments; ++seg) {
-      for (const Unit& u : scatter_->reads[seg][s]) {
-        acg.entries_[acg.index_.find(u.address)->second].readers.push_back(
-            u.tx);
-      }
-      for (const Unit& u : scatter_->writes[seg][s]) {
-        acg.entries_[acg.index_.find(u.address)->second].writers.push_back(
-            u.tx);
-      }
-    }
-  });
-
-  // ---- Edges: the appended (write-address -> read-address) pairs become
-  // BuildSharded's packed (wi << 32) | ri keys now that subscripts exist;
-  // per-shard sort/unique, then the serial AddEdge sweep.
-  std::vector<std::vector<std::uint64_t>> shard_edges(shards);
-  pool.ParallelFor(0, shards, [&](std::size_t s) {
-    obs::TraceSpan span("acg_shard_edges_" + std::to_string(s));
-    std::vector<std::uint64_t>& edges = shard_edges[s];
-    for (std::size_t seg = 0; seg < segments; ++seg) {
-      for (const Scatter::AddrPair& pair : scatter_->edges[seg][s]) {
-        const auto wi =
-            static_cast<std::uint64_t>(acg.index_.find(pair.w)->second);
-        const auto ri =
-            static_cast<std::uint64_t>(acg.index_.find(pair.r)->second);
-        edges.push_back((wi << 32) | ri);
-      }
-    }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    MutexLock lock(merge.mutex);
-    merge.edges += edges.size();
-  });
-  acg.dependencies_ = std::make_unique<Digraph>(acg.entries_.size());
-  for (const auto& edges : shard_edges) {
-    for (const std::uint64_t key : edges) {
-      acg.dependencies_->AddEdge(
-          static_cast<Digraph::Vertex>(key >> 32),
-          static_cast<Digraph::Vertex>(key & 0xffffffff));
     }
   }
 

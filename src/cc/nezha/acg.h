@@ -68,6 +68,9 @@ class AddressConflictGraph {
 
   std::size_t NumAddresses() const { return entries_.size(); }
   std::size_t NumEdges() const { return dependencies_->NumEdges(); }
+  /// Address shards the graph was built with: 1 for Build() and for
+  /// BuildSharded's small-batch serial fallback.
+  std::size_t NumShards() const { return shards_; }
 
   /// Canonical text encoding of the graph — vertex set with subscripts,
   /// per-address readers/writers, and the edge multiset with neighbors
@@ -77,61 +80,10 @@ class AddressConflictGraph {
   std::string CanonicalEncoding() const;
 
  private:
-  friend class AcgBuilder;
-
   std::vector<AddressRWSet> entries_;
   std::unordered_map<std::uint64_t, std::size_t> index_;
   std::unique_ptr<Digraph> dependencies_;
-};
-
-/// Incremental ACG construction for the cross-epoch pipeline: confirmed
-/// blocks append their transactions' read/write sets as they arrive (in
-/// consensus order), feeding the same per-shard scatter structures
-/// BuildSharded uses, and Seal() runs the merge/fill/edge phases over the
-/// accumulated scatter. The sealed graph has the exact vertex set,
-/// subscript assignment, readers/writers lists, and edge multiset of a
-/// from-scratch Build()/BuildSharded() over the concatenated batch —
-/// including the <32-transaction serial-fallback boundary, which is decided
-/// on the TOTAL appended count at Seal() time (tests/acg_test.cpp pins the
-/// multiset equality on both sides of it).
-///
-/// Not thread-safe: appends must arrive from one thread in batch order
-/// (TxIndex subscripts are assigned by arrival position).
-class AcgBuilder {
- public:
-  /// `pool` drives the scatter of each append and Seal's merge phases;
-  /// nullptr (or a 1-worker pool) makes Seal() the serial Build().
-  /// `num_shards` = 0 means one shard per pool worker.
-  explicit AcgBuilder(ThreadPool* pool = nullptr, std::size_t num_shards = 0);
-  ~AcgBuilder();
-
-  /// Appends one slice of read/write sets in arrival order; the i-th
-  /// appended rwset overall gets TxIndex i. Scatters the slice's units into
-  /// the per-shard structures immediately (on the pool when available).
-  void AppendTxs(std::span<const ReadWriteSet> rwsets);
-
-  /// One confirmed block's worth of (already deduplicated) read/write sets
-  /// — the streaming unit of the cross-epoch pipeline. Identical to
-  /// AppendTxs; the name documents the call site's granularity.
-  void AppendBlock(std::span<const ReadWriteSet> rwsets) { AppendTxs(rwsets); }
-
-  /// Transactions appended so far.
-  std::size_t TxCount() const { return rwsets_.size(); }
-
-  /// Merges the accumulated scatter into the finished graph. The builder is
-  /// spent afterwards (appending to a sealed builder is undefined).
-  AddressConflictGraph Seal();
-
- private:
-  struct Scatter;  ///< per-(segment, shard) unit + edge-pair buckets
-
-  ThreadPool* pool_;
-  std::size_t num_shards_;
-  std::size_t shards_ = 0;  ///< resolved shard count (0 until first append)
-  /// Retained copy of every appended rwset, in arrival order: the serial
-  /// fallback (total < 32 txs at Seal) rebuilds from these.
-  std::vector<ReadWriteSet> rwsets_;
-  std::unique_ptr<Scatter> scatter_;
+  std::size_t shards_ = 1;
 };
 
 }  // namespace nezha

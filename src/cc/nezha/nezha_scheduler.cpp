@@ -18,24 +18,18 @@ Result<Schedule> NezhaScheduler::BuildScheduleImpl(
   // With a pool configured, construction is sharded across it — same
   // vertices, subscripts and edges, just built in parallel.
   AddressConflictGraph acg;
-  if (prebuilt_acg_.has_value()) {
-    // The cross-epoch pipeline already built the graph incrementally as the
-    // epoch's blocks arrived; consume it and credit the real build time.
-    acg = std::move(*prebuilt_acg_);
-    prebuilt_acg_.reset();
-    metrics_.construction_us = prebuilt_construction_us_;
-    prebuilt_construction_us_ = 0;
-  } else {
+  {
     obs::TraceSpan span("acg_build");
     obs::ProfileSpan pspan("acg_build");
     acg = options_.pool != nullptr
               ? AddressConflictGraph::BuildSharded(rwsets, *options_.pool,
                                                    options_.acg_shards)
               : AddressConflictGraph::Build(rwsets);
-    metrics_.construction_us = watch.ElapsedMicros();
   }
+  metrics_.construction_us = watch.ElapsedMicros();
   metrics_.graph_vertices = acg.NumAddresses();
   metrics_.graph_edges = acg.NumEdges();
+  metrics_.acg_shards = acg.NumShards();
 
   analysis::DetCheckpointRecorder& det =
       analysis::DetCheckpointRecorder::Global();
@@ -75,6 +69,7 @@ Result<Schedule> NezhaScheduler::BuildScheduleImpl(
   }
   metrics_.sorting_us = watch.ElapsedMicros();
   metrics_.reordered_txs = sorted.reordered_txs;
+  metrics_.sort_clusters = sorted.clusters;
 
   Schedule schedule;
   schedule.sequence = std::move(sorted.sequence);

@@ -5,9 +5,6 @@
 // parallel.
 #pragma once
 
-#include <optional>
-
-#include "cc/nezha/acg.h"
 #include "cc/nezha/rank_division.h"
 #include "cc/nezha/tx_sorter.h"
 #include "cc/scheduler.h"
@@ -40,16 +37,6 @@ class NezhaScheduler final : public Scheduler {
 
   const SchedulerMetrics& metrics() const override { return metrics_; }
 
-  /// Hands the NEXT BuildSchedule call a conflict graph that was already
-  /// constructed incrementally (AcgBuilder::Seal) while the batch streamed
-  /// in — the cross-epoch pipeline's step-① overlap. Consumed by exactly
-  /// one build; the kAcg checkpoint and all downstream stages see the same
-  /// bytes as an in-build construction (AcgBuilder's equivalence contract).
-  void SetPrebuiltAcg(AddressConflictGraph&& acg, double construction_us) {
-    prebuilt_acg_ = std::move(acg);
-    prebuilt_construction_us_ = construction_us;
-  }
-
  protected:
   Result<Schedule> BuildScheduleImpl(
       std::span<const ReadWriteSet> rwsets) override;
@@ -57,8 +44,6 @@ class NezhaScheduler final : public Scheduler {
  private:
   NezhaOptions options_;
   SchedulerMetrics metrics_;
-  std::optional<AddressConflictGraph> prebuilt_acg_;
-  double prebuilt_construction_us_ = 0;
 };
 
 }  // namespace nezha

@@ -419,8 +419,11 @@ TxSorterResult SortTransactionsParallel(
         .GetGauge("nezha_parallel_sort_clusters")
         ->Set(static_cast<std::int64_t>(cluster_positions.size()));
   }
-  return AssembleResult(std::move(st), reordered, std::move(reordered_txs),
-                        std::move(abort_records), reorder_attempts);
+  TxSorterResult result =
+      AssembleResult(std::move(st), reordered, std::move(reordered_txs),
+                     std::move(abort_records), reorder_attempts);
+  result.clusters = cluster_positions.size();
+  return result;
 }
 
 std::string CanonicalAbortRecordsEncoding(

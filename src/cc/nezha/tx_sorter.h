@@ -55,6 +55,9 @@ struct TxSorterResult {
   /// §IV.D raises attempted (successful or not); reordered_txs counts the
   /// successes.
   std::uint64_t reorder_attempts = 0;
+  /// Conflict clusters sorted independently: 1 for SortTransactions and for
+  /// SortTransactionsParallel's small-batch serial fallback.
+  std::size_t clusters = 1;
 };
 
 /// Sorts all transactions of a batch given its ACG and the address rank

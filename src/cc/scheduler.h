@@ -87,6 +87,8 @@ struct SchedulerMetrics {
   std::uint64_t cycles_found = 0;       ///< CG only
   bool resource_exhausted = false;      ///< CG cycle enumeration blew its budget
   std::size_t reordered_txs = 0;        ///< Nezha enhanced design (§IV.D)
+  std::size_t acg_shards = 0;           ///< Nezha: ACG build shards (1 = serial)
+  std::size_t sort_clusters = 0;        ///< Nezha: sorted clusters (1 = serial)
 
   double TotalUs() const { return construction_us + cycle_us + sorting_us; }
 };
@@ -117,7 +119,8 @@ void PublishSchedulerObs(std::string_view scheduler,
 
 /// Rebuilds the most recent build's SchedulerMetrics from a registry
 /// snapshot (inverse of PublishSchedulerObs; timing fields round-trip
-/// through nanosecond gauges, so they match to < 1 ns).
+/// through nanosecond gauges, so they match to < 1 ns). acg_shards and
+/// sort_clusters are not published per scheduler and stay 0.
 SchedulerMetrics SchedulerMetricsFromSnapshot(
     const obs::RegistrySnapshot& snapshot, std::string_view scheduler);
 

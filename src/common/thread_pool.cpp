@@ -38,7 +38,6 @@ void FinishInline(const InlineStamp& stamp) {
   if (!stamp.armed) return;
   obs::TaskSample sample;
   sample.stage = obs::CurrentStage();
-  sample.window = obs::CurrentProfileWindow();
   sample.tid = obs::CurrentThreadId();
   sample.enqueue_us = stamp.start_us;
   sample.start_us = stamp.start_us;
@@ -89,7 +88,6 @@ ThreadPool::~ThreadPool() {
 std::future<void> ThreadPool::Submit(std::function<void()> task) {
   const double enqueue_us = obs::PhaseTracer::NowUs();
   const obs::StageId stage = obs::CurrentStage();
-  const obs::ProfileWindowId window = obs::CurrentProfileWindow();
   // Profiler stamps (per-worker timelines, docs/OBSERVABILITY.md) wrap the
   // user's function INSIDE the packaged task: the sample must be recorded
   // before the task's future becomes ready, or a driver thread that joins
@@ -99,7 +97,7 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   // load decides whether the task pays for any clock reads; the
   // thread-CPU reads stay inline (not routed through obs) so the whole
   // stamp cost is visible — and allowlisted — right here.
-  auto run = [this, task = std::move(task), enqueue_us, stage, window]() {
+  auto run = [this, task = std::move(task), enqueue_us, stage]() {
     const bool sampling = obs::Profiler().Sampling();
     struct timespec cpu_begin {};
     if (sampling) clock_gettime(CLOCK_THREAD_CPUTIME_ID, &cpu_begin);
@@ -107,11 +105,9 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
     task_wait_us_->Observe(start_us - enqueue_us);
     std::exception_ptr error;
     {
-      // Re-enter the submitter's stage and profile window so nested
-      // submissions inherit them and the sample below lands on the right
-      // stage in the right epoch's window.
+      // Re-enter the submitter's stage so nested submissions inherit it
+      // and the sample below lands on the right stage.
       obs::StageScope scope(stage);
-      obs::ProfileWindowScope window_scope(window);
       try {
         task();
       } catch (...) {
@@ -127,7 +123,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
       clock_gettime(CLOCK_THREAD_CPUTIME_ID, &cpu_end);
       obs::TaskSample sample;
       sample.stage = stage;
-      sample.window = window;
       sample.tid = obs::CurrentThreadId();
       sample.enqueue_us = enqueue_us;
       sample.start_us = start_us;

@@ -39,13 +39,6 @@ std::pair<std::string, std::string> ParallelChainLedger::EpochRootRecord(
 
 void ParallelChainLedger::CommitEpochRootLocal(EpochId epoch,
                                                const Hash256& root) {
-  // Idempotent: the pipelined commit path installs the root before the
-  // durable write tail (so epoch N+1 validation can overlap the tail) and
-  // the shared tail re-installs it; the duplicate is dropped here.
-  if (!epoch_roots_.empty() && epoch_roots_.back().first == epoch &&
-      epoch_roots_.back().second == root) {
-    return;
-  }
   epoch_roots_.emplace_back(epoch, root);
 }
 

@@ -50,9 +50,6 @@ class ParallelChainLedger {
 
   /// Records the root in memory only; storage is the caller's business
   /// (used together with EpochRootRecord in the atomic commit path).
-  /// Idempotent: re-recording the newest (epoch, root) pair is a no-op, so
-  /// the pipelined commit path may install the root early (before the
-  /// durable write tail) and the shared tail may install it again.
   void CommitEpochRootLocal(EpochId epoch, const Hash256& root);
 
   /// Newest epoch with a committed root (0 when none committed yet; check

@@ -4,14 +4,11 @@
 #include <cinttypes>
 #include <cstdio>
 #include <limits>
-#include <optional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "analysis/det_checkpoint.h"
 #include "cc/cg/cg_scheduler.h"
-#include "cc/nezha/acg.h"
 #include "cc/nezha/nezha_scheduler.h"
 #include "cc/nezha/parallel_executor.h"
 #include "cc/occ/occ_scheduler.h"
@@ -94,19 +91,15 @@ namespace {
 /// Opens lifecycle tracking for one epoch batch: keys every transaction,
 /// claims its mempool ingress stamps, and stamps kConfirmed (the batch
 /// reaching the pipeline IS the epoch's DAG confirmation — SealEpoch
-/// happened just before ProcessEpoch). Returns the epoch's slot id (0 when
-/// the tracer is disabled) so a pipelined commit thread can bind to it.
-std::uint64_t BeginLifecycleEpoch(const NodeConfig& config,
-                                  const EpochBatch& batch) {
+/// happened just before ProcessEpoch).
+void BeginLifecycleEpoch(const NodeConfig& config, const EpochBatch& batch) {
   obs::TxLifecycleTracer& lifecycle = obs::Lifecycle();
-  if (!lifecycle.enabled()) return 0;
+  if (!lifecycle.enabled()) return;
   std::vector<std::uint64_t> keys;
   keys.reserve(batch.txs.size());
   for (const Transaction& tx : batch.txs) keys.push_back(LifecycleKey(tx));
-  const std::uint64_t slot =
-      lifecycle.BeginEpoch(batch.epoch, SchemeName(config.scheme), keys);
+  lifecycle.BeginEpoch(batch.epoch, SchemeName(config.scheme), keys);
   lifecycle.StampAll(obs::TxStage::kConfirmed);
-  return slot;
 }
 
 /// Mirrors one finished EpochReport into the global metrics registry so
@@ -152,9 +145,7 @@ void PublishEpochObs(const NodeConfig& config, const EpochReport& report) {
 void RecordEpochFlight(const NodeConfig& config, const EpochReport& report,
                        std::size_t blocks,
                        obs::ScheduleAttribution attribution,
-                       const ParallelExecStats* exec_stats = nullptr,
-                       std::uint32_t acg_shards = 0,
-                       std::uint32_t sort_clusters = 0) {
+                       const ParallelExecStats* exec_stats) {
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   if (!recorder.enabled()) return;
   obs::EpochFlightRecord record;
@@ -163,12 +154,12 @@ void RecordEpochFlight(const NodeConfig& config, const EpochReport& report,
         static_cast<std::uint32_t>(exec_stats->groups);
     record.parallel_max_group =
         static_cast<std::uint32_t>(exec_stats->max_group);
-    // Captured from the last-build gauges right after this epoch's
-    // BuildSchedule, on the prepare thread: under pipelining the live
-    // gauges may already describe the NEXT epoch's build by now.
-    record.parallel_acg_shards = acg_shards;
-    record.parallel_sort_clusters = sort_clusters;
   }
+  // Zero for every scheme but Nezha, which reports what its build used.
+  record.parallel_acg_shards =
+      static_cast<std::uint32_t>(report.cc_metrics.acg_shards);
+  record.parallel_sort_clusters =
+      static_cast<std::uint32_t>(report.cc_metrics.sort_clusters);
   record.epoch = report.epoch;
   record.scheme = SchemeName(config.scheme);
   record.blocks = static_cast<std::uint32_t>(blocks);
@@ -220,63 +211,89 @@ void RecordCommitCheckpoint(EpochId epoch, const EpochReport& report,
   det.Record(analysis::DetStage::kCommit, canonical);
 }
 
+/// Serial's execute-and-commit loop: executes each transaction against the
+/// live state and applies its writes before the next one runs — what
+/// today's DAG-based blockchains do after consensus. An overlay over one
+/// snapshot makes each transaction see all earlier effects without
+/// re-snapshotting the whole state per transaction.
+void ExecuteSerially(StateDB& state, const EpochBatch& batch, ExecMode mode,
+                     EpochReport& report) {
+  const StateSnapshot base = state.MakeSnapshot(batch.epoch);
+  LoggedStateView::Overlay overlay;
+  obs::TxLifecycleTracer& lifecycle = obs::Lifecycle();
+  for (std::size_t t = 0; t < batch.txs.size(); ++t) {
+    const Transaction& tx = batch.txs[t];
+    LoggedStateView view(base, &overlay);
+    Status executed;
+    if (mode == ExecMode::kNative) {
+      executed = ExecuteContract(tx.payload, view);
+    } else {
+      auto program = CompileContract(tx.payload);
+      executed = program.ok() ? RunProgram(program.value(), view).status
+                              : program.status();
+    }
+    if (!executed.ok()) {
+      ++report.aborted;  // malformed transaction: skipped
+      lifecycle.MarkAborted(
+          static_cast<std::uint32_t>(t),
+          static_cast<std::uint8_t>(obs::ConflictKind::kReverted));
+      continue;
+    }
+    ReadWriteSet rw = view.TakeRWSet();
+    for (std::size_t i = 0; i < rw.writes.size(); ++i) {
+      overlay[rw.writes[i].value] = rw.write_values[i];
+      state.Set(rw.writes[i], rw.write_values[i]);
+    }
+    ++report.committed;
+    lifecycle.StampTx(static_cast<std::uint32_t>(t), obs::TxStage::kExecuted);
+  }
+  // Serial has no scheduler stages; its kExecute checkpoint is the overlay
+  // of all committed writes, in ascending address order (the overlay is an
+  // unordered_map — sorting is what makes the encoding canonical).
+  analysis::DetCheckpointRecorder& det =
+      analysis::DetCheckpointRecorder::Global();
+  if (!det.enabled()) return;
+  std::vector<std::pair<std::uint64_t, StateValue>> items(overlay.begin(),
+                                                          overlay.end());
+  std::sort(items.begin(), items.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::string canonical;
+  canonical.reserve(64 + items.size() * 24);
+  canonical += "exec serial txs=";
+  AppendU64(canonical, batch.txs.size());
+  canonical += " committed=";
+  AppendU64(canonical, report.committed);
+  canonical += " addrs=";
+  AppendU64(canonical, items.size());
+  canonical += '\n';
+  for (const auto& [addr, value] : items) {
+    canonical += "w ";
+    AppendU64(canonical, addr);
+    canonical += '=';
+    AppendI64(canonical, static_cast<std::int64_t>(value));
+    canonical += '\n';
+  }
+  det.Record(analysis::DetStage::kExecute, canonical);
+}
+
 }  // namespace
 
 Result<EpochReport> FullNode::ProcessEpoch(const EpochBatch& batch) {
-  if (config_.scheme == SchemeKind::kSerial) return ProcessSerial(batch);
-  obs::TraceSpan epoch_span("epoch " + std::to_string(batch.epoch));
-  Result<PreparedEpoch> prepared = PrepareEpoch(batch);
-  if (!prepared.ok()) return prepared.status();
-  return CommitPrepared(std::move(prepared.value()));
-}
-
-namespace {
-
-/// Per-block slices of the deduplicated batch: replays the first-appearance
-/// dedup of EpochBatch::FromBlocks to find, for each block, the (offset,
-/// count) range of batch.txs it contributed. Empty (signalling "stream
-/// per block is impossible, fall back to whole-batch") when the blocks do
-/// not reconstruct the flattened batch — e.g. a hand-built batch whose txs
-/// were not derived from its blocks.
-std::vector<std::pair<std::size_t, std::size_t>> BlockSlices(
-    const EpochBatch& batch) {
-  std::vector<std::pair<std::size_t, std::size_t>> slices;
-  slices.reserve(batch.blocks.size());
-  std::unordered_set<Hash256> seen;
-  std::size_t offset = 0;
-  for (const Block& block : batch.blocks) {
-    std::size_t fresh = 0;
-    for (const Transaction& tx : block.transactions) {
-      if (seen.insert(tx.Id()).second) ++fresh;
-    }
-    slices.emplace_back(offset, fresh);
-    offset += fresh;
-  }
-  if (offset != batch.txs.size()) return {};
-  return slices;
-}
-
-}  // namespace
-
-Result<PreparedEpoch> FullNode::PrepareEpoch(const EpochBatch& batch,
-                                             bool incremental_acg) {
-  if (config_.scheme == SchemeKind::kSerial) {
-    return Status::InvalidArgument(
-        "serial scheme has no prepare/commit split");
-  }
+  const bool serial = config_.scheme == SchemeKind::kSerial;
+  const char* scheme = SchemeName(config_.scheme);
   obs::FlightRecorder::Global().SetCurrentEpoch(batch.epoch);
-  if (analysis::DetCheckpointRecorder::Global().enabled()) {
-    analysis::DetCheckpointRecorder::Global().BeginEpoch(
-        batch.epoch, SchemeName(config_.scheme));
+  if (analysis::DetCheckpointRecorder& det =
+          analysis::DetCheckpointRecorder::Global();
+      det.enabled()) {
+    det.BeginEpoch(batch.epoch, scheme);
   }
-  PreparedEpoch prep;
-  prep.batch = &batch;
-  prep.lifecycle_slot = BeginLifecycleEpoch(config_, batch);
-  prep.profile_window = obs::Profiler().BeginEpochWindow(
-      batch.epoch, SchemeName(config_.scheme), pool_->size());
-  prep.report.epoch = batch.epoch;
-  prep.report.block_concurrency = batch.BlockConcurrency();
-  prep.report.txs = batch.TxCount();
+  BeginLifecycleEpoch(config_, batch);
+  obs::Profiler().BeginEpoch(batch.epoch, scheme, pool_->size());
+  obs::TraceSpan epoch_span("epoch " + std::to_string(batch.epoch));
+  EpochReport report;
+  report.epoch = batch.epoch;
+  report.block_concurrency = batch.BlockConcurrency();
+  report.txs = batch.TxCount();
 
   // ---- Phase 1: validation ----
   Stopwatch watch;
@@ -295,157 +312,90 @@ Result<PreparedEpoch> FullNode::PrepareEpoch(const EpochBatch& batch,
       }
     }
   }
-  prep.report.validate_ms = watch.ElapsedMillis();
+  report.validate_ms = watch.ElapsedMillis();
 
-  // ---- Phase 2: concurrent speculative execution ----
-  const bool nezha_scheme = config_.scheme == SchemeKind::kNezha ||
-                            config_.scheme == SchemeKind::kNezhaNoReorder;
-  std::vector<std::pair<std::size_t, std::size_t>> slices;
-  if (incremental_acg && nezha_scheme) slices = BlockSlices(batch);
-  watch.Restart();
-  prep.snapshot = state_.MakeSnapshot(batch.epoch);
-  {
-    obs::TraceSpan span("execute");
-    obs::ProfileSpan pspan("execute");
-    if (!slices.empty()) {
-      // Incremental path: speculatively execute each confirmed block's
-      // slice of the deduplicated batch and append its read/write sets to
-      // the ACG builder as they land. Per-transaction execution against the
-      // immutable snapshot is independent, so the concatenated rwsets are
-      // identical to the whole-batch call — and Seal() produces the exact
-      // graph Build() would (tests/acg_test.cpp proves the multiset).
-      AcgBuilder builder(pool_.get());
-      double acg_us = 0;
-      prep.exec.rwsets.reserve(batch.txs.size());
-      for (const auto& [offset, count] : slices) {
-        if (count == 0) continue;
-        BatchExecutionResult slice_exec = ExecuteBatchConcurrent(
-            *pool_, prep.snapshot,
-            std::span<const Transaction>(batch.txs).subspan(offset, count),
-            config_.exec_mode);
-        prep.exec.malformed += slice_exec.malformed;
-        Stopwatch acg_watch;
-        builder.AppendBlock(slice_exec.rwsets);
-        acg_us += acg_watch.ElapsedMicros();
-        for (ReadWriteSet& rw : slice_exec.rwsets) {
-          prep.exec.rwsets.push_back(std::move(rw));
-        }
-      }
-      Stopwatch seal_watch;
-      AddressConflictGraph acg = builder.Seal();
-      acg_us += seal_watch.ElapsedMicros();
-      static_cast<NezhaScheduler*>(scheduler_.get())
-          ->SetPrebuiltAcg(std::move(acg), acg_us);
-    } else {
-      prep.exec = ExecuteBatchConcurrent(*pool_, prep.snapshot, batch.txs,
-                                         config_.exec_mode);
+  StateSnapshot snapshot;
+  BatchExecutionResult exec;
+  Schedule schedule;
+  std::vector<Receipt> receipts;  // none for Serial: no aborts to attest
+  if (!serial) {
+    // ---- Phase 2: concurrent speculative execution ----
+    watch.Restart();
+    snapshot = state_.MakeSnapshot(batch.epoch);
+    {
+      obs::TraceSpan span("execute");
+      obs::ProfileSpan pspan("execute");
+      exec = ExecuteBatchConcurrent(*pool_, snapshot, batch.txs,
+                                    config_.exec_mode);
     }
-  }
-  prep.report.execute_ms = watch.ElapsedMillis();
-  if (config_.model_execution_cost) {
-    prep.report.execute_ms =
-        config_.cost_model.ConcurrentExecuteLatencyMs(batch.TxCount());
-  }
+    report.execute_ms = watch.ElapsedMillis();
+    if (config_.model_execution_cost) {
+      report.execute_ms =
+          config_.cost_model.ConcurrentExecuteLatencyMs(batch.TxCount());
+    }
 
-  // ---- Phase 3: concurrency control ----
-  watch.Restart();
-  Result<Schedule> schedule = Schedule{};
-  {
-    obs::TraceSpan span("cc");
-    obs::ProfileSpan pspan("cc");
-    schedule = scheduler_->BuildSchedule(prep.exec.rwsets);
-  }
-  if (!schedule.ok()) return schedule.status();
-  prep.report.cc_ms = watch.ElapsedMillis();
-  prep.report.cc_metrics = scheduler_->metrics();
-  prep.schedule = std::move(schedule.value());
-  if (nezha_scheme && obs::MetricsEnabled()) {
-    // The scheduler just finished this epoch's build, so the last-build
-    // gauges describe exactly this epoch; capture them now, before a
-    // pipelined prepare of the next epoch overwrites them.
-    auto& registry = obs::Registry();
-    prep.acg_shards = static_cast<std::uint32_t>(
-        registry.GetGauge("nezha_parallel_acg_shards")->Value());
-    prep.sort_clusters = static_cast<std::uint32_t>(
-        registry.GetGauge("nezha_parallel_sort_clusters")->Value());
-  }
-  // Receipts are a pure function of the batch, the rwsets and the schedule
-  // — built here so the commit half touches only state and storage.
-  prep.receipts =
-      BuildReceipts(batch.epoch, batch.txs, prep.exec.rwsets, prep.schedule);
-  prep.report.receipt_root = ComputeReceiptRoot(prep.receipts);
-  return prep;
-}
-
-Result<EpochReport> FullNode::CommitPrepared(
-    PreparedEpoch&& prepared, const std::function<void()>& after_assemble) {
-  PreparedEpoch prep = std::move(prepared);
-  const EpochBatch& batch = *prep.batch;
-  EpochReport report = std::move(prep.report);
-  // Bind this thread to the epoch's observability contexts: under
-  // pipelining the prepare thread has already opened the NEXT epoch's, so
-  // stamps must resolve by binding, not by "the current epoch".
-  analysis::DetCheckpointRecorder& det =
-      analysis::DetCheckpointRecorder::Global();
-  if (det.enabled()) det.BindThread(batch.epoch, SchemeName(config_.scheme));
-  obs::TxLifecycleTracer& lifecycle = obs::Lifecycle();
-  if (lifecycle.enabled() && prep.lifecycle_slot != 0) {
-    lifecycle.BindEpochForThread(prep.lifecycle_slot);
-  }
-  std::optional<obs::ProfileWindowScope> window_scope;
-  if (prep.profile_window != obs::kProfileWindowNone) {
-    window_scope.emplace(prep.profile_window);
+    // ---- Phase 3: concurrency control ----
+    watch.Restart();
+    Result<Schedule> built = Schedule{};
+    {
+      obs::TraceSpan span("cc");
+      obs::ProfileSpan pspan("cc");
+      built = scheduler_->BuildSchedule(exec.rwsets);
+    }
+    if (!built.ok()) return built.status();
+    report.cc_ms = watch.ElapsedMillis();
+    report.cc_metrics = scheduler_->metrics();
+    schedule = std::move(built.value());
+    // Receipts are a pure function of the batch, the rwsets and the
+    // schedule; the commit phase flushes them in the same atomic batch as
+    // the state.
+    receipts = BuildReceipts(batch.epoch, batch.txs, exec.rwsets, schedule);
+    report.receipt_root = ComputeReceiptRoot(receipts);
   }
 
   // ---- Phase 4: commitment ----
-  // Group-parallel executor: merges the schedule's effects into a write
-  // buffer in sequence order and applies it across the pool — byte-identical
-  // to serial replay of the commit groups (docs/PARALLELISM.md).
-  Stopwatch watch;
-  ParallelExecStats commit;
-  Status commit_status = Status::Ok();
+  watch.Restart();
+  ParallelExecStats group_stats;
   {
     obs::TraceSpan span("commit");
-    obs::ProfileSpan pspan("commit");
-    commit = ExecuteScheduleParallel(*pool_, state_, prep.snapshot,
-                                     prep.schedule, prep.exec.rwsets);
+    obs::ProfileSpan pspan(serial ? "serial_execute_commit" : "commit");
+    if (serial) {
+      ExecuteSerially(state_, batch, config_.exec_mode, report);
+    } else {
+      // Group-parallel executor: merges the schedule's effects into a write
+      // buffer in sequence order and applies it across the pool —
+      // byte-identical to serial replay of the commit groups
+      // (docs/PARALLELISM.md).
+      group_stats = ExecuteScheduleParallel(*pool_, state_, snapshot,
+                                            schedule, exec.rwsets);
+      report.committed = group_stats.committed_txs;
+      report.aborted = schedule.NumAborted();
+      report.max_commit_group = group_stats.max_group;
+    }
     report.state_root = state_.RootHash();
-    Result<CommitPlan> plan = AssembleCommit(batch, report, prep.receipts);
-    // The handoff fires even on failure: a pipeline waiting on it must not
-    // deadlock when the commit errors out (it surfaces the error instead).
-    if (after_assemble) after_assemble();
-    if (!plan.ok()) {
-      commit_status = plan.status();
-    } else if (Status s = WriteCommit(batch, report, plan.value()); !s.ok()) {
-      commit_status = s;
+    if (Status s = CommitEpochDurable(batch, report, receipts); !s.ok()) {
+      return s;
     }
-    if (commit_status.ok()) {
-      lifecycle.StampAll(obs::TxStage::kCommitted);
-    }
-  }
-  if (!commit_status.ok()) {
-    det.UnbindThread();
-    return commit_status;
+    obs::Lifecycle().StampAll(obs::TxStage::kCommitted);
   }
   report.commit_ms = watch.ElapsedMillis();
-
-  report.committed = commit.committed_txs;
-  report.aborted = prep.schedule.NumAborted();
-  report.max_commit_group = commit.max_group;
-  report.latency = lifecycle.FinishEpoch();
-  report.profile = obs::Profiler().FinishEpochWindow(prep.profile_window);
-  det.UnbindThread();
+  if (serial && config_.model_execution_cost) {
+    report.commit_ms = 0;
+    report.execute_ms = config_.cost_model.SerialLatencyMs(batch.TxCount());
+  }
+  report.latency = obs::Lifecycle().FinishEpoch();
+  report.profile = obs::Profiler().FinishEpoch();
 
   PublishEpochObs(config_, report);
   RecordEpochFlight(config_, report, batch.blocks.size(),
-                    std::move(prep.schedule.attribution), &commit,
-                    prep.acg_shards, prep.sort_clusters);
+                    std::move(schedule.attribution),
+                    serial ? nullptr : &group_stats);
   return report;
 }
 
-Result<FullNode::CommitPlan> FullNode::AssembleCommit(
-    const EpochBatch& batch, EpochReport& report,
-    std::span<const Receipt> receipts) {
+Status FullNode::CommitEpochDurable(const EpochBatch& batch,
+                                    EpochReport& report,
+                                    std::span<const Receipt> receipts) {
   obs::ProfileSpan pspan("durable_commit");
   if (const fault::Hit hit = fault::Check(fault::sites::kCommitBeforeJournal);
       hit.fired()) {
@@ -454,24 +404,25 @@ Result<FullNode::CommitPlan> FullNode::AssembleCommit(
     }
     return Status::Unavailable("fault: commit rejected before journal");
   }
-  CommitPlan plan;
   if (kv_ == nullptr) {
-    // No persistence attached: nothing to assemble. The root still installs
-    // here — before the pipeline handoff — so the next epoch's validation
-    // reads it without racing the in-memory flush tail.
+    // No persistence attached: Flush() still syncs the commitment trie and
+    // clears the dirty markers; nothing can tear.
+    if (Status s = state_.Flush(); !s.ok()) return s;
     ledger_.CommitEpochRootLocal(batch.epoch, report.state_root);
-    return plan;
+    RecordCommitCheckpoint(batch.epoch, report, nullptr);
+    return Status::Ok();
   }
 
   // Assemble the entire epoch commit as ONE WriteBatch: state records,
   // receipts, the epoch root, the "j/last" journal header, and the delete
   // of the pending slot. Applied atomically, a reader (or a restarted
   // node) sees all of it or none of it.
-  state_.AppendDirtyTo(plan.batch);
-  ReceiptStore::AppendTo(plan.batch, receipts);
+  WriteBatch commit_batch;
+  state_.AppendDirtyTo(commit_batch);
+  ReceiptStore::AppendTo(commit_batch, receipts);
   const auto [root_key, root_value] =
       ParallelChainLedger::EpochRootRecord(batch.epoch, report.state_root);
-  plan.batch.Put(root_key, root_value);
+  commit_batch.Put(root_key, root_value);
 
   CommitJournal journal;
   journal.epoch = batch.epoch;
@@ -484,34 +435,15 @@ Result<FullNode::CommitPlan> FullNode::AssembleCommit(
   for (ChainId chain = 0; chain < ledger_.num_chains(); ++chain) {
     journal.chain_tips.emplace_back(chain, ledger_.ChainTip(chain));
   }
-  plan.batch.Put(kLastJournalKey, journal.Header().Serialize());
-  plan.batch.Delete(kPendingJournalKey);
+  commit_batch.Put(kLastJournalKey, journal.Header().Serialize());
+  commit_batch.Delete(kPendingJournalKey);
   // The redo payload IS the commit batch: recovery re-applies it verbatim
   // to roll a torn or missing commit forward.
-  journal.redo = plan.batch.Serialize();
-  plan.journal_bytes = journal.Serialize();
-  plan.durable = true;
-  // The in-memory root installs at assemble time — the last ledger access
-  // of this epoch's commit, so the pipeline may hand the ledger to the next
-  // epoch's prepare right after this returns. (Idempotent in the ledger, so
-  // legacy callers that also install it later stay correct.)
-  ledger_.CommitEpochRootLocal(batch.epoch, report.state_root);
-  return plan;
-}
+  journal.redo = commit_batch.Serialize();
 
-Status FullNode::WriteCommit(const EpochBatch& batch, EpochReport& report,
-                             CommitPlan& plan) {
-  obs::ProfileSpan pspan("durable_commit");
-  if (!plan.durable) {
-    // No persistence attached: Flush() still syncs the commitment trie and
-    // clears the dirty markers; nothing can tear.
-    if (Status s = state_.Flush(); !s.ok()) return s;
-    RecordCommitCheckpoint(batch.epoch, report, nullptr);
-    return Status::Ok();
-  }
   // Step 1 — write-ahead: the pending journal, a single-key put (atomic by
   // the KVStore contract even under injected tears).
-  if (Status s = kv_->Put(kPendingJournalKey, plan.journal_bytes); !s.ok()) {
+  if (Status s = kv_->Put(kPendingJournalKey, journal.Serialize()); !s.ok()) {
     return s;
   }
   if (const fault::Hit hit = fault::Check(fault::sites::kCommitAfterJournal);
@@ -530,30 +462,23 @@ Status FullNode::WriteCommit(const EpochBatch& batch, EpochReport& report,
   }
   // Step 2 — the atomic commit batch (the kvstore/write site can fail,
   // tear, or crash it; the journal repairs all three).
-  if (Status s = kv_->Write(plan.batch); !s.ok()) return s;
+  if (Status s = kv_->Write(commit_batch); !s.ok()) return s;
   state_.ClearDirty();
-  RecordCommitCheckpoint(batch.epoch, report, &plan.batch);
+  ledger_.CommitEpochRootLocal(batch.epoch, report.state_root);
+  RecordCommitCheckpoint(batch.epoch, report, &commit_batch);
   if (obs::MetricsEnabled()) {
     auto& registry = obs::Registry();
     registry.GetCounter("nezha_commit_journal_writes_total")->Inc();
     registry.GetCounter("nezha_commit_batch_records_total")
-        ->Inc(plan.batch.Count());
+        ->Inc(commit_batch.Count());
     registry.GetCounter("nezha_commit_batch_bytes_total")
-        ->Inc(plan.batch.ByteSize());
+        ->Inc(commit_batch.ByteSize());
   }
   if (const fault::Hit hit = fault::Check(fault::sites::kCommitAfterFlush);
       hit.action == fault::Action::kCrash) {
     return fault::CrashStatus(fault::sites::kCommitAfterFlush);
   }
   return Status::Ok();
-}
-
-Status FullNode::CommitEpochDurable(const EpochBatch& batch,
-                                    EpochReport& report,
-                                    std::span<const Receipt> receipts) {
-  Result<CommitPlan> plan = AssembleCommit(batch, report, receipts);
-  if (!plan.ok()) return plan.status();
-  return WriteCommit(batch, report, plan.value());
 }
 
 Result<FullNode::RecoveryReport> FullNode::Recover() {
@@ -644,122 +569,5 @@ Result<FullNode::RecoveryReport> FullNode::Recover() {
 }
 
 Status FullNode::RecoverFromStorage() { return Recover().status(); }
-
-Result<EpochReport> FullNode::ProcessSerial(const EpochBatch& batch) {
-  obs::FlightRecorder::Global().SetCurrentEpoch(batch.epoch);
-  if (analysis::DetCheckpointRecorder::Global().enabled()) {
-    analysis::DetCheckpointRecorder::Global().BeginEpoch(
-        batch.epoch, SchemeName(config_.scheme));
-  }
-  BeginLifecycleEpoch(config_, batch);
-  obs::Profiler().BeginEpoch(batch.epoch, SchemeName(config_.scheme),
-                             pool_->size());
-  obs::TraceSpan epoch_span("epoch " + std::to_string(batch.epoch));
-  EpochReport report;
-  report.epoch = batch.epoch;
-  report.block_concurrency = batch.BlockConcurrency();
-  report.txs = batch.TxCount();
-
-  Stopwatch watch;
-  {
-    obs::TraceSpan span("validate");
-    obs::ProfileSpan pspan("validate");
-    for (const Block& block : batch.blocks) {
-      if (block.header.prev_state_root !=
-          ledger_.StateRootBefore(batch.epoch)) {
-        return Status::InvalidArgument("block state root does not match epoch");
-      }
-      if (block.header.tx_root != ComputeTxMerkleRoot(block.transactions)) {
-        return Status::InvalidArgument("block tx merkle root mismatch");
-      }
-    }
-  }
-  report.validate_ms = watch.ElapsedMillis();
-
-  // Execute + commit one transaction at a time against the live state —
-  // what today's DAG-based blockchains do after consensus. An overlay over
-  // one snapshot makes each transaction see all earlier effects without
-  // re-snapshotting the whole state per transaction.
-  watch.Restart();
-  obs::TraceSpan commit_span("commit");
-  // optional: the span must close before Profiler().FinishEpoch() below,
-  // while this function (and commit_span) runs on to the return.
-  std::optional<obs::ProfileSpan> commit_pspan;
-  commit_pspan.emplace("serial_execute_commit");
-  const StateSnapshot base = state_.MakeSnapshot(batch.epoch);
-  LoggedStateView::Overlay overlay;
-  obs::TxLifecycleTracer& lifecycle = obs::Lifecycle();
-  for (std::size_t t = 0; t < batch.txs.size(); ++t) {
-    const Transaction& tx = batch.txs[t];
-    LoggedStateView view(base, &overlay);
-    Status executed;
-    if (config_.exec_mode == ExecMode::kNative) {
-      executed = ExecuteContract(tx.payload, view);
-    } else {
-      auto program = CompileContract(tx.payload);
-      executed = program.ok() ? RunProgram(program.value(), view).status
-                              : program.status();
-    }
-    if (!executed.ok()) {
-      ++report.aborted;  // malformed transaction: skipped
-      lifecycle.MarkAborted(
-          static_cast<std::uint32_t>(t),
-          static_cast<std::uint8_t>(obs::ConflictKind::kReverted));
-      continue;
-    }
-    ReadWriteSet rw = view.TakeRWSet();
-    for (std::size_t i = 0; i < rw.writes.size(); ++i) {
-      overlay[rw.writes[i].value] = rw.write_values[i];
-      state_.Set(rw.writes[i], rw.write_values[i]);
-    }
-    ++report.committed;
-    lifecycle.StampTx(static_cast<std::uint32_t>(t), obs::TxStage::kExecuted);
-  }
-  // Serial has no scheduler stages; its kExecute checkpoint is the overlay
-  // of all committed writes, in ascending address order (the overlay is an
-  // unordered_map — sorting is what makes the encoding canonical).
-  if (analysis::DetCheckpointRecorder& det =
-          analysis::DetCheckpointRecorder::Global();
-      det.enabled()) {
-    std::vector<std::pair<std::uint64_t, StateValue>> items(overlay.begin(),
-                                                            overlay.end());
-    std::sort(items.begin(), items.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::string canonical;
-    canonical.reserve(64 + items.size() * 24);
-    canonical += "exec serial txs=";
-    AppendU64(canonical, batch.txs.size());
-    canonical += " committed=";
-    AppendU64(canonical, report.committed);
-    canonical += " addrs=";
-    AppendU64(canonical, items.size());
-    canonical += '\n';
-    for (const auto& [addr, value] : items) {
-      canonical += "w ";
-      AppendU64(canonical, addr);
-      canonical += '=';
-      AppendI64(canonical, static_cast<std::int64_t>(value));
-      canonical += '\n';
-    }
-    det.Record(analysis::DetStage::kExecute, canonical);
-  }
-  report.state_root = state_.RootHash();
-  // Same durable-commit tail as the concurrent pipeline (no receipts: the
-  // serial baseline has no abort outcomes to attest).
-  if (Status s = CommitEpochDurable(batch, report, {}); !s.ok()) return s;
-  lifecycle.StampAll(obs::TxStage::kCommitted);
-  report.commit_ms = watch.ElapsedMillis();
-  if (config_.model_execution_cost) {
-    report.commit_ms = 0;
-    report.execute_ms = config_.cost_model.SerialLatencyMs(batch.TxCount());
-  }
-  report.latency = lifecycle.FinishEpoch();
-  commit_pspan.reset();
-  report.profile = obs::Profiler().FinishEpoch();
-  PublishEpochObs(config_, report);
-  // Serial builds no schedule, so the record carries empty attribution.
-  RecordEpochFlight(config_, report, batch.blocks.size(), {});
-  return report;
-}
 
 }  // namespace nezha

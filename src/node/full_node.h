@@ -10,12 +10,17 @@
 //   4. Commitment      — apply commit groups (concurrently within a group),
 //                        flush to storage, compute the new state root.
 //
-// The Serial scheme short-circuits phases 2-3: it executes and commits each
-// transaction one-by-one against the live state, exactly like today's
-// DAG-based blockchains (and like the paper's baseline).
+// ProcessEpoch is the node's one epoch driver. It runs an epoch's phases to
+// completion before the next epoch starts, so exactly one epoch is open in
+// the observability layer at a time (flight recorder, determinism
+// checkpoints, transaction lifecycle, profiler). The Serial scheme
+// short-circuits phases 2-3: it executes and commits each transaction
+// one-by-one against the live state, exactly like today's DAG-based
+// blockchains (and like the paper's baseline). Every scheme ends in the
+// same durable commit, and the ledger's epoch root moves only once that
+// commit has landed.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 
@@ -90,35 +95,6 @@ struct EpochReport {
   Hash256 receipt_root{};
 };
 
-/// One epoch after the prepare half of the pipeline (validation, concurrent
-/// speculative execution, concurrency control, receipt construction) and
-/// before the commit half (group-parallel execution, durable commit). This
-/// is the unit the cross-epoch pipeline hands from its prepare thread to
-/// its commit thread (node/pipeline.h).
-struct PreparedEpoch {
-  /// Set when the producer transfers batch ownership (the pipeline does);
-  /// `batch` then points at it. ProcessEpoch leaves it null and points
-  /// `batch` at the caller's batch instead.
-  std::unique_ptr<EpochBatch> owned_batch;
-  const EpochBatch* batch = nullptr;
-  StateSnapshot snapshot;         ///< epoch e-1 view the schedule was built on
-  BatchExecutionResult exec;
-  Schedule schedule;
-  std::vector<Receipt> receipts;  ///< pure function of batch+rwsets+schedule
-  /// Partially filled: identity plus the validate/execute/cc phases.
-  EpochReport report;
-  /// Observability handles opened on the prepare thread; the commit thread
-  /// binds to them so its stamps resolve to this epoch even while the
-  /// prepare thread has already opened the next epoch's.
-  std::uint64_t lifecycle_slot = 0;
-  obs::ProfileWindowId profile_window = obs::kProfileWindowNone;
-  /// Scheduler last-build gauges captured right after BuildSchedule: under
-  /// pipelining the global gauges may already describe epoch N+1 by the
-  /// time epoch N's flight record is written.
-  std::uint32_t acg_shards = 0;
-  std::uint32_t sort_clusters = 0;
-};
-
 class FullNode {
  public:
   explicit FullNode(const NodeConfig& config, KVStore* kv = nullptr);
@@ -140,29 +116,6 @@ class FullNode {
   /// record — so a crash anywhere in the sequence leaves the store either
   /// pre-epoch or (after Recover()) fully committed, never torn.
   Result<EpochReport> ProcessEpoch(const EpochBatch& batch);
-
-  /// The prepare half of ProcessEpoch (phases 1-3 plus receipt
-  /// construction), split out so the cross-epoch pipeline (node/pipeline.h)
-  /// can overlap it with the previous epoch's commit half. The returned
-  /// PreparedEpoch keeps a pointer to `batch`; the caller must keep the
-  /// batch alive (or transfer ownership into `owned_batch`) until
-  /// CommitPrepared consumes it. `incremental_acg` routes the Nezha
-  /// schemes' speculative execution per confirmed block, feeding the
-  /// address conflict graph incrementally (byte-identical schedule;
-  /// docs/PARALLELISM.md). Invalid for the Serial scheme, which has no
-  /// prepare/commit split.
-  Result<PreparedEpoch> PrepareEpoch(const EpochBatch& batch,
-                                     bool incremental_acg = false);
-
-  /// The commit half: group-parallel execution, state root, durable commit,
-  /// epoch observability close-out. `after_assemble` (when set) runs once
-  /// the commit batch is assembled and the in-memory epoch root installed —
-  /// from that point the ledger and the state values are stable, so the
-  /// next epoch's prepare may start; the pipeline signals its handoff
-  /// there. Only the durable write tail overlaps it.
-  Result<EpochReport> CommitPrepared(
-      PreparedEpoch&& prepared,
-      const std::function<void()>& after_assemble = {});
 
   /// What Recover() found and did (docs/ROBUSTNESS.md).
   struct RecoveryReport {
@@ -186,31 +139,10 @@ class FullNode {
   Status RecoverFromStorage();
 
  private:
-  Result<EpochReport> ProcessSerial(const EpochBatch& batch);
-
-  /// The durable commit, split at the pipeline handoff point:
-  ///  * AssembleCommit builds the atomic commit batch + journal (reading
-  ///    the state dirty set and the ledger chain tips) and installs the
-  ///    in-memory epoch root — everything that must finish before the next
-  ///    epoch's prepare may touch the ledger or the state;
-  ///  * WriteCommit is the storage tail (pending-journal put, atomic batch
-  ///    write, dirty clear, kCommit checkpoint, metrics) and touches only
-  ///    the thread-safe KVStore/StateDB — safe to overlap the next prepare.
-  /// CommitEpochDurable runs them back to back (the batch and Serial paths).
-  struct CommitPlan {
-    WriteBatch batch;           ///< the atomic commit batch (durable only)
-    std::string journal_bytes;  ///< serialized pending journal (durable only)
-    bool durable = false;       ///< false when no KVStore is attached
-  };
-  Result<CommitPlan> AssembleCommit(const EpochBatch& batch,
-                                    EpochReport& report,
-                                    std::span<const Receipt> receipts);
-  Status WriteCommit(const EpochBatch& batch, EpochReport& report,
-                     CommitPlan& plan);
-
-  /// The shared durable-commit tail of both pipelines: journal + one atomic
-  /// commit batch (state, receipts, epoch root), with the commit-path
-  /// injection sites. Updates the ledger's in-memory root on success.
+  /// The durable-commit tail of every scheme: journal + one atomic commit
+  /// batch (state, receipts, epoch root), with the commit-path injection
+  /// sites. Installs the ledger's in-memory epoch root only once the commit
+  /// has landed (flushed, or written to the KVStore).
   Status CommitEpochDurable(const EpochBatch& batch, EpochReport& report,
                             std::span<const Receipt> receipts);
 

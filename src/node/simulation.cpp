@@ -122,55 +122,4 @@ Result<SimulationSummary> RunSimulation(const SimulationConfig& config) {
   return summary;
 }
 
-Result<SimulationSummary> RunSimulationPipelined(const SimulationConfig& config,
-                                                 std::size_t pipeline_depth,
-                                                 bool incremental_acg,
-                                                 PipelineStats* pipeline_stats) {
-  if (config.block_concurrency == 0 || config.block_size == 0) {
-    return Status::InvalidArgument("block concurrency/size must be > 0");
-  }
-  NodeConfig node_config = config.node;
-  node_config.max_chains = std::max<ChainId>(
-      node_config.max_chains,
-      static_cast<ChainId>(config.block_concurrency));
-
-  FullNode node(node_config, nullptr);
-  SmallBankWorkload workload(config.workload, config.seed);
-
-  SmallBankWorkload::InitAccounts(node.state(), config.workload.num_accounts,
-                                  config.initial_savings,
-                                  config.initial_checking);
-  if (Status s = node.state().Flush(); !s.ok()) return s;
-  node.ledger().CommitEpochRoot(0, node.state().RootHash());
-
-  // Identical payload stream to RunSimulation: one MakeBatch per epoch,
-  // FIFO mempool drain per block. Only the DRIVER differs — blocks are
-  // built on the pipeline's prepare thread, after the previous epoch's
-  // handoff, so their headers match the batch driver's byte for byte.
-  const std::size_t epoch_txs = config.block_size * config.block_concurrency;
-  Mempool mempool(std::max<std::size_t>(100'000, epoch_txs + 1));
-
-  PipelineOptions options;
-  options.depth = pipeline_depth;
-  options.incremental_acg = incremental_acg;
-  EpochPipeline pipeline(node, options);
-  for (EpochId epoch = 1; epoch <= config.epochs; ++epoch) {
-    const std::vector<Transaction> arrivals = workload.MakeBatch(epoch_txs);
-    mempool.AddAll(arrivals);
-    std::vector<std::vector<Transaction>> chain_txs(config.block_concurrency);
-    for (std::size_t chain = 0; chain < config.block_concurrency; ++chain) {
-      chain_txs[chain] = mempool.TakeBatch(config.block_size);
-    }
-    if (Status s = pipeline.Submit(epoch, std::move(chain_txs)); !s.ok()) {
-      return s;
-    }
-  }
-  auto reports = pipeline.Drain();
-  if (!reports.ok()) return reports.status();
-  if (pipeline_stats != nullptr) *pipeline_stats = pipeline.stats();
-  SimulationSummary summary;
-  summary.reports = std::move(reports.value());
-  return summary;
-}
-
 }  // namespace nezha

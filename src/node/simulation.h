@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "node/full_node.h"
-#include "node/pipeline.h"
 #include "workload/smallbank_workload.h"
 
 namespace nezha {
@@ -50,17 +49,5 @@ struct SimulationSummary {
 /// Builds the ledger, funds the accounts, mines ω blocks per epoch, and
 /// processes every epoch through the configured scheme.
 Result<SimulationSummary> RunSimulation(const SimulationConfig& config);
-
-/// Like RunSimulation, but drives the epochs through the cross-epoch
-/// pipeline (node/pipeline.h) at the given depth: epoch N's durable commit
-/// tail overlaps epoch N+1's block build + validation + speculative
-/// execution + concurrency control. Workload generation is byte-identical
-/// to RunSimulation (same generator stream, same mempool FIFO), and so is
-/// every committed output — state roots, receipt roots, schedules, stage
-/// digests (tests/pipelined_node_test.cpp). `pipeline_stats` (optional)
-/// receives the run's overlap accounting.
-Result<SimulationSummary> RunSimulationPipelined(
-    const SimulationConfig& config, std::size_t pipeline_depth,
-    bool incremental_acg = true, PipelineStats* pipeline_stats = nullptr);
 
 }  // namespace nezha

@@ -93,7 +93,6 @@ StageTable& Stages() {
 
 thread_local StageId t_current_stage = kStageNone;
 thread_local std::uint32_t t_profile_depth = 0;
-thread_local ProfileWindowId t_profile_window = kProfileWindowNone;
 
 std::string FormatNum(double v) {
   char buf[64];
@@ -293,15 +292,6 @@ StageScope::StageScope(StageId id) : previous_(t_current_stage) {
 
 StageScope::~StageScope() { t_current_stage = previous_; }
 
-ProfileWindowId CurrentProfileWindow() { return t_profile_window; }
-
-ProfileWindowScope::ProfileWindowScope(ProfileWindowId id)
-    : previous_(t_profile_window) {
-  t_profile_window = id;
-}
-
-ProfileWindowScope::~ProfileWindowScope() { t_profile_window = previous_; }
-
 // ---------------------------------------------------------------------------
 // ProfileSpan.
 
@@ -318,7 +308,6 @@ ProfileSpan::ProfileSpan(std::string_view name)
   t_current_stage = stage_;
   if (!Profiler().Sampling()) return;
   armed_ = true;
-  window_ = t_profile_window;
   depth_ = t_profile_depth++;
   allocs_start_ = AllocationCount();
   cpu_start_us_ = ThreadCpuUs();
@@ -331,7 +320,6 @@ ProfileSpan::~ProfileSpan() {
   --t_profile_depth;
   StageSpan span;
   span.stage = stage_;
-  span.window = window_;
   span.tid = CurrentThreadId();
   span.start_us = start_us_;
   span.end_us = PhaseTracer::NowUs();
@@ -476,12 +464,13 @@ void PipelineProfiler::SetEnabled(bool enabled) {
 void PipelineProfiler::BeginEpoch(std::uint64_t epoch, std::string_view scheme,
                                   std::size_t workers) {
   if (!enabled()) return;
-  // Single-window batch path: any unfinished windows (and their buffered
-  // stamps) are discarded wholesale before the new one opens.
   {
     MutexLock lock(epoch_mutex_);
-    windows_.clear();
+    epoch_ = epoch;
+    scheme_ = std::string(scheme);
+    workers_ = static_cast<std::uint32_t>(workers);
     spans_.clear();
+    begin_us_ = PhaseTracer::NowUs();
   }
   for (Stripe& stripe : stripes_) {
     MutexLock lock(stripe.mutex);
@@ -489,32 +478,8 @@ void PipelineProfiler::BeginEpoch(std::uint64_t epoch, std::string_view scheme,
   }
   sample_count_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
-  BeginEpochWindow(epoch, scheme, workers);
-}
-
-ProfileWindowId PipelineProfiler::BeginEpochWindow(std::uint64_t epoch,
-                                                   std::string_view scheme,
-                                                   std::size_t workers) {
-  if (!enabled()) return kProfileWindowNone;
-  ProfileWindowId id;
-  {
-    MutexLock lock(epoch_mutex_);
-    if (windows_.size() >= kMaxWindows) {
-      windows_.erase(windows_.begin());  // discard the oldest window
-    }
-    Window window;
-    window.id = next_window_id_++;
-    window.epoch = epoch;
-    window.scheme = std::string(scheme);
-    window.workers = static_cast<std::uint32_t>(workers);
-    window.begin_us = PhaseTracer::NowUs();
-    id = window.id;
-    windows_.push_back(std::move(window));
-  }
-  t_profile_window = id;
   active_.store(true, std::memory_order_relaxed);
   UpdateSampling();
-  return id;
 }
 
 bool PipelineProfiler::EpochActive() const {
@@ -539,84 +504,27 @@ void PipelineProfiler::RecordSpan(const StageSpan& span) {
 }
 
 EpochProfile PipelineProfiler::FinishEpoch() {
-  ProfileWindowId id;
-  {
-    MutexLock lock(epoch_mutex_);
-    if (windows_.empty()) return {};
-    id = windows_.front().id;
-  }
-  return FinishEpochWindow(id);
-}
-
-EpochProfile PipelineProfiler::FinishEpochWindow(ProfileWindowId id) {
-  if (id == kProfileWindowNone) return {};
+  if (!EpochActive()) return {};
+  active_.store(false, std::memory_order_relaxed);
+  UpdateSampling();
   const double end_us = PhaseTracer::NowUs();
 
   EpochProfile profile;
   std::vector<TaskSample> samples;
-  bool claim_unbound = false;
-  std::vector<ProfileWindowId> still_open;
   {
     MutexLock lock(epoch_mutex_);
-    std::size_t idx = SIZE_MAX;
-    for (std::size_t i = 0; i < windows_.size(); ++i) {
-      if (windows_[i].id == id) {
-        idx = i;
-        break;
-      }
-    }
-    if (idx == SIZE_MAX) return {};
-    Window window = std::move(windows_[idx]);
-    // The earliest-open window owns unbound (window-0) stamps: in the
-    // pipeline, windows close oldest-first, so strays land with the epoch
-    // that was in flight when they were recorded; with one window open
-    // this is exactly the pre-pipelining behaviour.
-    claim_unbound = idx == 0;
-    windows_.erase(windows_.begin() + idx);
-    for (const Window& w : windows_) still_open.push_back(w.id);
-    active_.store(!windows_.empty(), std::memory_order_relaxed);
-    UpdateSampling();
-    if (t_profile_window == id) t_profile_window = kProfileWindowNone;
-
-    profile.epoch = window.epoch;
-    profile.scheme = window.scheme;
-    profile.workers = window.workers;
-    profile.span_ms = (end_us - window.begin_us) / 1000.0;
-
-    std::vector<StageSpan> retained_spans;
-    retained_spans.reserve(spans_.size());
-    for (const StageSpan& s : spans_) {
-      if (s.window == id ||
-          (s.window == kProfileWindowNone && claim_unbound)) {
-        profile.spans.push_back(s);
-      } else if (s.window == kProfileWindowNone ||
-                 std::find(still_open.begin(), still_open.end(), s.window) !=
-                     still_open.end()) {
-        retained_spans.push_back(s);  // another open window will claim it
-      }  // else: stamp of an already-closed window — drop
-    }
-    spans_ = std::move(retained_spans);
+    profile.epoch = epoch_;
+    profile.scheme = scheme_;
+    profile.workers = workers_;
+    profile.span_ms = (end_us - begin_us_) / 1000.0;
+    profile.spans = spans_;
   }
-  std::size_t retained_count = 0;
   for (Stripe& stripe : stripes_) {
     MutexLock lock(stripe.mutex);
-    std::vector<TaskSample> retained;
-    retained.reserve(stripe.samples.size());
-    for (const TaskSample& s : stripe.samples) {
-      if (s.window == id ||
-          (s.window == kProfileWindowNone && claim_unbound)) {
-        samples.push_back(s);
-      } else if (s.window == kProfileWindowNone ||
-                 std::find(still_open.begin(), still_open.end(), s.window) !=
-                     still_open.end()) {
-        retained.push_back(s);
-      }
-    }
-    stripe.samples = std::move(retained);
-    retained_count += stripe.samples.size();
+    samples.insert(samples.end(), stripe.samples.begin(),
+                   stripe.samples.end());
   }
-  sample_count_.store(retained_count, std::memory_order_relaxed);
-  profile.dropped_samples = dropped_.exchange(0, std::memory_order_relaxed);
+  profile.dropped_samples = dropped_.load(std::memory_order_relaxed);
   std::sort(profile.spans.begin(), profile.spans.end(),
             [](const StageSpan& a, const StageSpan& b) {
               return a.start_us < b.start_us;
@@ -854,7 +762,10 @@ void PipelineProfiler::Clear() {
   UpdateSampling();
   {
     MutexLock lock(epoch_mutex_);
-    windows_.clear();
+    epoch_ = 0;
+    scheme_.clear();
+    workers_ = 0;
+    begin_us_ = 0;
     spans_.clear();
     last_profile_ = EpochProfile{};
   }

@@ -44,6 +44,11 @@
 // estimates: what the epoch latency would become if this stage alone ran at
 // perfect efficiency on all workers.
 //
+// Threading: one epoch window is open at a time, matching the node's
+// single epoch driver. BeginEpoch discards an unfinished window, and every
+// sample or span recorded until FinishEpoch belongs to the open window,
+// whichever thread records it.
+//
 // The profiler is ON by default and kill-switched like the metrics
 // registry; a disabled (or out-of-window) stamp is one relaxed load.
 #pragma once
@@ -73,33 +78,6 @@ std::string_view StageName(StageId id);
 /// The stage currently active on this thread (what Submit captures).
 StageId CurrentStage();
 
-/// Identifies one open profiler epoch window. 0 = unbound: stamps carrying
-/// it are attributed to the earliest-open window when that window closes
-/// (the pre-pipelining single-window behaviour). Ids are monotone and never
-/// reused.
-using ProfileWindowId = std::uint32_t;
-inline constexpr ProfileWindowId kProfileWindowNone = 0;
-
-/// The profile window bound to this thread (what Submit captures alongside
-/// the stage).
-ProfileWindowId CurrentProfileWindow();
-
-/// Binds the current thread's stamps (spans, submitted tasks) to one open
-/// window, restoring the previous binding on destruction. The cross-epoch
-/// pipeline wraps each thread's work for epoch N in one of these so epoch
-/// N's samples never leak into the concurrently-open window for N+1.
-class ProfileWindowScope {
- public:
-  explicit ProfileWindowScope(ProfileWindowId id);
-  ~ProfileWindowScope();
-
-  ProfileWindowScope(const ProfileWindowScope&) = delete;
-  ProfileWindowScope& operator=(const ProfileWindowScope&) = delete;
-
- private:
-  ProfileWindowId previous_;
-};
-
 /// Tags work on the current thread with a stage label, restoring the
 /// previous label on destruction. Cheap (two thread_local stores); use it
 /// around any region that submits pool tasks worth attributing.
@@ -121,7 +99,6 @@ class StageScope {
 /// CLOCK_THREAD_CPUTIME_ID delta across the run.
 struct TaskSample {
   StageId stage = kStageNone;
-  ProfileWindowId window = kProfileWindowNone;  ///< submitter's epoch window
   std::uint32_t tid = 0;  ///< obs::CurrentThreadId of the executing thread
   double enqueue_us = 0;  ///< == start_us for inline-executed work
   double start_us = 0;
@@ -133,7 +110,6 @@ struct TaskSample {
 /// One pipeline stage's interval on the driving thread (ProfileSpan).
 struct StageSpan {
   StageId stage = kStageNone;
-  ProfileWindowId window = kProfileWindowNone;  ///< recording thread's window
   std::uint32_t tid = 0;
   double start_us = 0;
   double end_us = 0;
@@ -237,26 +213,11 @@ class PipelineProfiler {
   }
 
   /// Opens an epoch window: clears the sample/span buffers and arms
-  /// Sampling(). Any unfinished previous windows are discarded (the
-  /// single-pipeline batch path). `workers` is the pool size used as the
-  /// efficiency denominator. Binds the calling thread to the new window.
+  /// Sampling(). An unfinished previous window is discarded. `workers` is
+  /// the pool size used as the efficiency denominator.
   void BeginEpoch(std::uint64_t epoch, std::string_view scheme,
                   std::size_t workers);
   bool EpochActive() const;
-
-  /// Multi-window form for the cross-epoch pipeline: opens a window WITHOUT
-  /// discarding already-open ones (up to kMaxWindows; beyond that the
-  /// oldest is discarded) and binds the calling thread to it. Samples and
-  /// spans are attributed to the window their recording thread was bound to
-  /// at submit time; unbound (window-0) stamps go to the earliest-open
-  /// window when it closes.
-  ProfileWindowId BeginEpochWindow(std::uint64_t epoch,
-                                   std::string_view scheme,
-                                   std::size_t workers);
-  /// Closes ONE window and aggregates exactly the stamps attributed to it,
-  /// leaving other open windows' stamps buffered. Returns a default profile
-  /// when `id` is not open.
-  EpochProfile FinishEpochWindow(ProfileWindowId id);
 
   /// Records one executed pool task (called by ThreadPool). Drops samples
   /// beyond the ring capacity (counted; reported in the epoch profile).
@@ -264,12 +225,11 @@ class PipelineProfiler {
   /// Records one stage span (called by ~ProfileSpan).
   void RecordSpan(const StageSpan& span);
 
-  /// Closes the earliest-open window and aggregates: per-stage
-  /// CPU/wall/busy/waits, parallel efficiency, idle gaps, peak RSS.
-  /// Publishes the nezha_pool_* / nezha_profile_* series and (when the
-  /// phase tracer is enabled) the Chrome-trace counter tracks. Returns a
-  /// default profile when no window is active. Runs off the hot path —
-  /// cost is O(samples log samples).
+  /// Closes the window and aggregates: per-stage CPU/wall/busy/waits,
+  /// parallel efficiency, idle gaps, peak RSS. Publishes the nezha_pool_* /
+  /// nezha_profile_* series and (when the phase tracer is enabled) the
+  /// Chrome-trace counter tracks. Returns a default profile when no window
+  /// is active. Runs off the hot path — cost is O(samples log samples).
   EpochProfile FinishEpoch();
 
   /// The last finished epoch's profile (tests, reports).
@@ -293,25 +253,13 @@ class PipelineProfiler {
   }
 
   static constexpr std::size_t kStripes = 16;
-  /// Sample budget across all open windows; beyond it samples drop
-  /// (counted). 1<<17 samples x 56 B ~= 7 MiB worst case, bounded.
+  /// Per-epoch sample budget; beyond it samples drop (counted). 1<<17
+  /// samples x 48 B ~= 6 MiB worst case, bounded per window.
   static constexpr std::size_t kMaxSamples = 1u << 17;
-  /// Open-window cap: a pipeline of depth d keeps at most d+1 epochs in
-  /// flight; 4 covers the depths the pipeline supports.
-  static constexpr std::size_t kMaxWindows = 4;
 
   struct Stripe {
     mutable Mutex mutex;
     std::vector<TaskSample> samples GUARDED_BY(mutex);
-  };
-
-  /// One open epoch window's identity and bounds.
-  struct Window {
-    ProfileWindowId id = kProfileWindowNone;
-    std::uint64_t epoch = 0;
-    std::string scheme;
-    std::uint32_t workers = 0;
-    double begin_us = 0;
   };
 
   std::atomic<bool> enabled_{true};
@@ -321,8 +269,10 @@ class PipelineProfiler {
   std::atomic<std::uint64_t> dropped_{0};
 
   mutable Mutex epoch_mutex_;
-  std::vector<Window> windows_ GUARDED_BY(epoch_mutex_);  ///< open order
-  ProfileWindowId next_window_id_ GUARDED_BY(epoch_mutex_) = 1;
+  std::uint64_t epoch_ GUARDED_BY(epoch_mutex_) = 0;
+  std::string scheme_ GUARDED_BY(epoch_mutex_);
+  std::uint32_t workers_ GUARDED_BY(epoch_mutex_) = 0;
+  double begin_us_ GUARDED_BY(epoch_mutex_) = 0;
   std::vector<StageSpan> spans_ GUARDED_BY(epoch_mutex_);
   EpochProfile last_profile_ GUARDED_BY(epoch_mutex_);
 
@@ -347,7 +297,6 @@ class ProfileSpan {
  private:
   StageId stage_;
   StageId previous_stage_;
-  ProfileWindowId window_ = kProfileWindowNone;
   bool armed_ = false;
   double start_us_ = 0;
   double cpu_start_us_ = 0;

@@ -44,16 +44,6 @@ std::string FmtMs(double v) {
   return buf;
 }
 
-/// Which epoch slot this thread's stamps target (BindEpochForThread). The
-/// owner pointer keeps bindings from leaking across tracer instances; slot
-/// ids are never reused, so a stale id simply fails to resolve.
-struct LifecycleBinding {
-  const void* owner = nullptr;
-  std::uint64_t slot_id = 0;
-  bool bound = false;
-};
-thread_local LifecycleBinding t_lc_binding;
-
 void AppendSummaryJson(std::ostringstream& out, const StageWaitSummary& s) {
   out << "{\"count\":" << s.count << ",\"mean\":" << FmtMs(s.mean_ms)
       << ",\"p50\":" << FmtMs(s.p50_ms) << ",\"p95\":" << FmtMs(s.p95_ms)
@@ -231,10 +221,10 @@ bool TxLifecycleTracer::ClaimIngress(std::uint64_t key, IngressEntry* out) {
   return true;
 }
 
-std::uint64_t TxLifecycleTracer::BeginEpoch(
-    std::uint64_t epoch, std::string_view scheme,
-    std::span<const std::uint64_t> keys) {
-  if (!enabled()) return 0;
+void TxLifecycleTracer::BeginEpoch(std::uint64_t epoch,
+                                   std::string_view scheme,
+                                   std::span<const std::uint64_t> keys) {
+  if (!enabled()) return;
   // When no producer ever stamped ingress (benches, drivers without a
   // mempool), skip the per-key claim lookups — they are the dominant cost
   // of opening an epoch.
@@ -254,45 +244,20 @@ std::uint64_t TxLifecycleTracer::BeginEpoch(
     }
   }
   MutexLock lock(epoch_mutex_);
-  if (slots_.size() >= kMaxOpenEpochs) {
-    slots_.erase(slots_.begin());  // discard the oldest unfinished epoch
-  }
-  EpochSlot slot;
-  slot.id = next_slot_id_++;
-  slot.epoch = epoch;
-  slot.scheme = std::string(scheme);
-  slot.lifetimes = std::move(lifetimes);
-  slots_.push_back(std::move(slot));
-  t_lc_binding = LifecycleBinding{this, slots_.back().id, true};
-  return slots_.back().id;
-}
-
-void TxLifecycleTracer::BindEpochForThread(std::uint64_t slot_id) {
-  t_lc_binding = LifecycleBinding{this, slot_id, true};
-}
-
-void TxLifecycleTracer::UnbindThread() {
-  if (t_lc_binding.owner == this) t_lc_binding = LifecycleBinding{};
-}
-
-TxLifecycleTracer::EpochSlot* TxLifecycleTracer::ResolveSlot() {
-  if (t_lc_binding.bound && t_lc_binding.owner == this) {
-    for (EpochSlot& slot : slots_) {
-      if (slot.id == t_lc_binding.slot_id) return &slot;
-    }
-  }
-  return slots_.empty() ? nullptr : &slots_.back();
+  active_ = true;
+  epoch_ = epoch;
+  scheme_ = std::string(scheme);
+  lifetimes_ = std::move(lifetimes);
 }
 
 bool TxLifecycleTracer::EpochActive() const {
   MutexLock lock(epoch_mutex_);
-  return !slots_.empty();
+  return active_;
 }
 
 std::size_t TxLifecycleTracer::CurrentEpochSize() const {
   MutexLock lock(epoch_mutex_);
-  EpochSlot* slot = const_cast<TxLifecycleTracer*>(this)->ResolveSlot();
-  return slot != nullptr ? slot->lifetimes.size() : 0;
+  return active_ ? lifetimes_.size() : 0;
 }
 
 void TxLifecycleTracer::StampAll(TxStage stage) {
@@ -300,9 +265,8 @@ void TxLifecycleTracer::StampAll(TxStage stage) {
   const double now = NowUs();
   const auto s = static_cast<std::size_t>(stage);
   MutexLock lock(epoch_mutex_);
-  EpochSlot* slot = ResolveSlot();
-  if (slot == nullptr) return;
-  for (TxLifetime& life : slot->lifetimes) {
+  if (!active_) return;
+  for (TxLifetime& life : lifetimes_) {
     if (life.aborted) continue;
     life.stamp_us[s] = now;
   }
@@ -314,10 +278,9 @@ void TxLifecycleTracer::StampTxs(std::span<const std::uint32_t> txs,
   const double now = NowUs();
   const auto s = static_cast<std::size_t>(stage);
   MutexLock lock(epoch_mutex_);
-  EpochSlot* slot = ResolveSlot();
-  if (slot == nullptr) return;
+  if (!active_) return;
   for (const std::uint32_t tx : txs) {
-    if (tx < slot->lifetimes.size()) slot->lifetimes[tx].stamp_us[s] = now;
+    if (tx < lifetimes_.size()) lifetimes_[tx].stamp_us[s] = now;
   }
 }
 
@@ -336,11 +299,10 @@ void TxLifecycleTracer::MarkAbortedBatch(
   if (!enabled() || aborts.empty()) return;
   const double now = NowUs();
   MutexLock lock(epoch_mutex_);
-  EpochSlot* slot = ResolveSlot();
-  if (slot == nullptr) return;
+  if (!active_) return;
   for (const auto& [tx, kind] : aborts) {
-    if (tx >= slot->lifetimes.size()) continue;
-    TxLifetime& life = slot->lifetimes[tx];
+    if (tx >= lifetimes_.size()) continue;
+    TxLifetime& life = lifetimes_[tx];
     life.aborted = true;
     life.abort_kind = kind;
     life.stamp_us[static_cast<std::size_t>(TxStage::kAborted)] = now;
@@ -351,23 +313,16 @@ EpochLatencySummary TxLifecycleTracer::FinishEpoch(std::size_t top_k) {
   EpochLatencySummary summary;
   std::vector<double> e2e;
   std::array<std::vector<double>, kNumStageWaits> waits;
-  std::vector<TxLifetime> lifetimes;
   {
     MutexLock lock(epoch_mutex_);
-    EpochSlot* slot = ResolveSlot();
-    if (slot == nullptr) return summary;
-    summary.epoch = slot->epoch;
-    summary.scheme = slot->scheme;
-    summary.tracked = static_cast<std::uint32_t>(slot->lifetimes.size());
-    lifetimes = std::move(slot->lifetimes);
-    const std::uint64_t closed_id = slot->id;
-    slots_.erase(slots_.begin() + (slot - slots_.data()));
-    if (t_lc_binding.owner == this && t_lc_binding.slot_id == closed_id) {
-      t_lc_binding = LifecycleBinding{};
-    }
+    if (!active_) return summary;
+    active_ = false;
+    summary.epoch = epoch_;
+    summary.scheme = scheme_;
+    summary.tracked = static_cast<std::uint32_t>(lifetimes_.size());
 
-    e2e.reserve(lifetimes.size());
-    for (const TxLifetime& life : lifetimes) {
+    e2e.reserve(lifetimes_.size());
+    for (const TxLifetime& life : lifetimes_) {
       if (life.aborted) {
         ++summary.aborted;
         continue;
@@ -385,7 +340,7 @@ EpochLatencySummary TxLifecycleTracer::FinishEpoch(std::size_t top_k) {
     // Top-K slowest committed transactions, descending end-to-end latency.
     std::vector<const TxLifetime*> committed;
     committed.reserve(summary.committed);
-    for (const TxLifetime& life : lifetimes) {
+    for (const TxLifetime& life : lifetimes_) {
       if (!life.aborted && life.HasStage(TxStage::kCommitted) &&
           life.EndToEndMs() >= 0) {
         committed.push_back(&life);
@@ -409,7 +364,8 @@ EpochLatencySummary TxLifecycleTracer::FinishEpoch(std::size_t top_k) {
       summary.slowest.push_back(slow);
     }
 
-    last_lifetimes_ = std::move(lifetimes);
+    last_lifetimes_ = std::move(lifetimes_);
+    lifetimes_.clear();
   }
 
   summary.e2e = Summarize(e2e);
@@ -463,7 +419,10 @@ void TxLifecycleTracer::Clear() {
     stripe.entries.clear();
   }
   MutexLock lock(epoch_mutex_);
-  slots_.clear();
+  active_ = false;
+  epoch_ = 0;
+  scheme_.clear();
+  lifetimes_.clear();
   last_lifetimes_.clear();
   last_summary_ = EpochLatencySummary{};
 }

@@ -23,15 +23,13 @@
 // node folds into the EpochReport and the epoch flight record.
 //
 // Threading: the ingress tier accepts concurrent stamps (clients submit
-// while miners drain). The epoch tier holds a small fixed number of open
-// epoch SLOTS (kMaxOpenEpochs) so the cross-epoch pipeline can have epoch N
-// mid-commit on one thread while epoch N+1 opens on another: BeginEpoch
-// returns a slot id and binds the calling thread to it;
-// BindEpochForThread(id) routes another thread's stamps to the same slot.
-// Unbound threads resolve to the newest open slot — exactly the
-// pre-pipelining single-slot behaviour. Opening beyond the cap discards the
-// oldest unfinished epoch. All epoch-tier operations take one mutex so
-// concurrent stampers and readers (tests, exporters) are safe.
+// while miners drain). The epoch tier holds ONE open epoch: the node runs
+// one epoch to completion before the next (FullNode::ProcessEpoch is its
+// only driver) — the same assumption the flight recorder's SetCurrentEpoch
+// makes. A BeginEpoch while another epoch is active discards the
+// unfinished epoch. All epoch-tier operations still take one mutex so
+// pool workers stamping an epoch and concurrent readers (tests, exporters)
+// are safe.
 //
 // The tracer is ON by default and kill-switched like the metrics registry:
 // when disabled, every stamp is one relaxed load.
@@ -170,19 +168,9 @@ class TxLifecycleTracer {
 
   /// Starts tracking one epoch batch: lifetime t gets keys[t], and any
   /// ingress stamps recorded under that key are claimed (moved) into the
-  /// epoch table. Returns the slot id (0 when disabled) and binds the
-  /// calling thread to it; opening beyond kMaxOpenEpochs discards the
-  /// oldest unfinished epoch.
-  std::uint64_t BeginEpoch(std::uint64_t epoch, std::string_view scheme,
-                           std::span<const std::uint64_t> keys);
-
-  /// Routes this thread's subsequent epoch-tier calls (stamps, FinishEpoch)
-  /// to the slot BeginEpoch returned — the pipeline's commit thread binds to
-  /// epoch N's slot while the prepare thread has already opened N+1's.
-  /// Binding to a closed slot is harmless (falls back to newest open).
-  void BindEpochForThread(std::uint64_t slot_id);
-  void UnbindThread();
-
+  /// epoch table. An unfinished previous epoch is discarded.
+  void BeginEpoch(std::uint64_t epoch, std::string_view scheme,
+                  std::span<const std::uint64_t> keys);
   bool EpochActive() const;
   std::size_t CurrentEpochSize() const;
 
@@ -204,9 +192,8 @@ class TxLifecycleTracer {
   /// slowest committed transactions), publishes the per-scheme
   /// nezha_tx_e2e_ms / nezha_tx_stage_wait_ms{stage} histograms and the
   /// committed/aborted counters, retains the lifetimes for
-  /// LastEpochLifetimes(), and closes the slot (the thread-bound one when
-  /// bound, else the newest open). Returns a default-constructed summary
-  /// when no epoch is active.
+  /// LastEpochLifetimes(), and deactivates the epoch. Returns a
+  /// default-constructed summary when no epoch is active.
   EpochLatencySummary FinishEpoch(std::size_t top_k = 4);
 
   /// The finished epoch's lifetimes / summary (for tests and reports).
@@ -256,25 +243,11 @@ class TxLifecycleTracer {
   /// unit tests, drivers without a mempool).
   std::atomic<std::size_t> ingress_count_{0};
 
-  /// One concurrently-open epoch. Slot ids are monotone and never reused,
-  /// so a stale thread binding can never alias a newer epoch.
-  struct EpochSlot {
-    std::uint64_t id = 0;
-    std::uint64_t epoch = 0;
-    std::string scheme;
-    std::vector<TxLifetime> lifetimes;
-  };
-  /// Open-slot cap: a pipeline of depth d keeps at most d+1 epochs in
-  /// flight; 4 covers the depths the pipeline supports.
-  static constexpr std::size_t kMaxOpenEpochs = 4;
-
-  /// The slot this thread's epoch-tier calls target: the thread-bound slot
-  /// when bound and still open, else the newest open slot, else nullptr.
-  EpochSlot* ResolveSlot() REQUIRES(epoch_mutex_);
-
   mutable Mutex epoch_mutex_;
-  std::vector<EpochSlot> slots_ GUARDED_BY(epoch_mutex_);  ///< open order
-  std::uint64_t next_slot_id_ GUARDED_BY(epoch_mutex_) = 1;
+  bool active_ GUARDED_BY(epoch_mutex_) = false;
+  std::uint64_t epoch_ GUARDED_BY(epoch_mutex_) = 0;
+  std::string scheme_ GUARDED_BY(epoch_mutex_);
+  std::vector<TxLifetime> lifetimes_ GUARDED_BY(epoch_mutex_);
   std::vector<TxLifetime> last_lifetimes_ GUARDED_BY(epoch_mutex_);
   EpochLatencySummary last_summary_ GUARDED_BY(epoch_mutex_);
 };

@@ -4,11 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <random>
 #include <set>
 
 #include "cc/nezha/acg.h"
-#include "common/thread_pool.h"
 #include "runtime/concurrent_executor.h"
 #include "workload/smallbank_workload.h"
 
@@ -169,121 +167,6 @@ TEST(AcgTest, CoversEveryPairwiseConflict) {
                            << " not visible in any ACG entry";
     }
   }
-}
-
-// ---------- incremental construction (AcgBuilder) ----------
-
-/// Exact-equality oracle for two graphs: same vertex set in the same
-/// subscript order, same readers/writers lists, same edge multiset. The
-/// canonical encoding pins all of it at once (it sorts adjacency, so a
-/// Build/BuildSharded/Seal trio that differs only in internal ordering
-/// still encodes identically); the field-level checks keep failures
-/// readable.
-void ExpectSameAcg(const AddressConflictGraph& expected,
-                   const AddressConflictGraph& actual,
-                   const std::string& label) {
-  ASSERT_EQ(expected.NumAddresses(), actual.NumAddresses()) << label;
-  EXPECT_EQ(expected.NumEdges(), actual.NumEdges()) << label;
-  for (std::size_t i = 0; i < expected.NumAddresses(); ++i) {
-    EXPECT_EQ(expected.entries()[i].address, actual.entries()[i].address)
-        << label << " entry " << i;
-    EXPECT_EQ(expected.entries()[i].readers, actual.entries()[i].readers)
-        << label << " entry " << i;
-    EXPECT_EQ(expected.entries()[i].writers, actual.entries()[i].writers)
-        << label << " entry " << i;
-  }
-  EXPECT_EQ(expected.CanonicalEncoding(), actual.CanonicalEncoding()) << label;
-}
-
-/// Deterministic contended rwsets with a sprinkle of reverted transactions
-/// (which the graph must exclude, however they were appended).
-std::vector<ReadWriteSet> BuilderWorkload(std::size_t total,
-                                          std::uint64_t seed) {
-  WorkloadConfig config;
-  config.num_accounts = 40;
-  config.skew = 0.9;
-  SmallBankWorkload workload(config, seed);
-  StateDB db;
-  const StateSnapshot snap = db.MakeSnapshot(0);
-  const auto txs = workload.MakeBatch(total);
-  auto rwsets = ExecuteBatchSerial(snap, txs).rwsets;
-  for (std::size_t i = 0; i < rwsets.size(); ++i) {
-    if (i % 13 == 5) rwsets[i].ok = false;
-  }
-  return rwsets;
-}
-
-// Property: a random block stream appended through AcgBuilder and sealed is
-// EXACTLY the one-shot Build() over the concatenation — across batch sizes
-// on both sides of the <32-transaction serial-fallback boundary (decided on
-// the TOTAL count at Seal time, not per append), random chunkings that
-// include empty blocks, and serial vs pooled/sharded scatter.
-TEST(AcgBuilderTest, IncrementalAppendMatchesOneShotBuild) {
-  ThreadPool pool(4);
-  // Sizes straddling the serial-fallback boundary (kShardedBuildMinTxs=32):
-  // tiny totals must seal through the serial path even when appended in
-  // many chunks with a pool attached.
-  const std::size_t kTotals[] = {0, 1, 7, 31, 32, 33, 64, 150, 300};
-  for (const std::size_t total : kTotals) {
-    const auto rwsets = BuilderWorkload(total, 100 + total);
-    const auto reference =
-        AddressConflictGraph::Build(std::span<const ReadWriteSet>(rwsets));
-    for (const std::uint64_t chunk_seed : {1u, 2u, 3u}) {
-      std::mt19937 rng(chunk_seed * 977 + total);
-      std::uniform_int_distribution<std::size_t> chunk_len(0, 10);
-      // Serial builder, pooled builder (auto shards), pooled 3-shard.
-      struct BuilderCase {
-        const char* name;
-        ThreadPool* pool;
-        std::size_t shards;
-      };
-      ThreadPool* p = &pool;
-      const BuilderCase kCases[] = {
-          {"serial", nullptr, 0}, {"pooled", p, 0}, {"sharded3", p, 3}};
-      for (const BuilderCase& c : kCases) {
-        AcgBuilder builder(c.pool, c.shards);
-        std::size_t offset = 0;
-        std::mt19937 case_rng = rng;  // same chunking for all three cases
-        while (offset < rwsets.size()) {
-          const std::size_t len =
-              std::min(chunk_len(case_rng), rwsets.size() - offset);
-          builder.AppendBlock(
-              std::span<const ReadWriteSet>(rwsets).subspan(offset, len));
-          offset += len;  // len may be 0: empty blocks must be harmless
-          if (len == 0) {
-            builder.AppendBlock(std::span<const ReadWriteSet>(
-                rwsets).subspan(offset, std::min<std::size_t>(
-                                            1, rwsets.size() - offset)));
-            offset += std::min<std::size_t>(1, rwsets.size() - offset);
-          }
-        }
-        ASSERT_EQ(builder.TxCount(), rwsets.size());
-        const AddressConflictGraph sealed = builder.Seal();
-        ExpectSameAcg(reference, sealed,
-                      std::string(c.name) + " total=" +
-                          std::to_string(total) +
-                          " chunk_seed=" + std::to_string(chunk_seed));
-      }
-    }
-  }
-}
-
-// The sharded one-shot build and a sealed incremental build agree too (all
-// three construction paths are interchangeable), and a whole-batch single
-// append is just Build with extra steps.
-TEST(AcgBuilderTest, SingleAppendAndShardedBuildAgree) {
-  ThreadPool pool(4);
-  const auto rwsets = BuilderWorkload(200, 9);
-  const auto reference =
-      AddressConflictGraph::Build(std::span<const ReadWriteSet>(rwsets));
-  const auto sharded = AddressConflictGraph::BuildSharded(
-      std::span<const ReadWriteSet>(rwsets), pool, 4);
-  ExpectSameAcg(reference, sharded, "one-shot sharded");
-
-  AcgBuilder builder(&pool, 4);
-  builder.AppendTxs(std::span<const ReadWriteSet>(rwsets));
-  const AddressConflictGraph sealed = builder.Seal();
-  ExpectSameAcg(reference, sealed, "single whole-batch append");
 }
 
 }  // namespace

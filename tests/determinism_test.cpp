@@ -39,6 +39,7 @@
 #include "common/thread_pool.h"
 #include "consensus/ohie_sim.h"
 #include "node/simulation.h"
+#include "storage/kvstore.h"
 #include "storage/state_db.h"
 #include "workload/kv_workload.h"
 
@@ -319,6 +320,66 @@ TEST_F(DeterminismTest, FullNodeCheckpointsInvariantAcrossWorkerThreads) {
     EXPECT_FALSE(report.diverged)
         << "threads=" << threads << ": " << report.summary;
   }
+
+  // KV-backed input: the same seeded epochs through a node with a KVStore
+  // attached. Its kCommit digest covers the serialized commit batch
+  // (batch_digest), and the whole durable byte stream — journals, commit
+  // batches, blocks, receipts, epoch roots — must match byte for byte.
+  struct DurableRun {
+    std::vector<EpochCheckpoints> checkpoints;
+    std::string kv_bytes;
+  };
+  auto run_durable = [](std::size_t threads) {
+    DetCheckpointRecorder& det = DetCheckpointRecorder::Global();
+    det.Clear();
+    NodeConfig node_config;
+    node_config.scheme = SchemeKind::kNezha;
+    node_config.worker_threads = threads;
+    node_config.max_chains = 2;
+    WorkloadConfig wl;
+    wl.num_accounts = 200;
+    wl.skew = 0.9;
+    KVStore kv;
+    FullNode node(node_config, &kv);
+    SmallBankWorkload workload(wl, 7);
+    SmallBankWorkload::InitAccounts(node.state(), wl.num_accounts, 100, 100);
+    EXPECT_TRUE(node.state().Flush().ok());
+    node.ledger().CommitEpochRoot(0, node.state().RootHash());
+    for (EpochId epoch = 1; epoch <= 3; ++epoch) {
+      for (ChainId chain = 0; chain < 2; ++chain) {
+        Block block =
+            node.ledger().BuildBlock(chain, epoch, workload.MakeBatch(50));
+        EXPECT_TRUE(node.ledger().AppendBlock(std::move(block)).ok());
+      }
+      auto sealed = node.ledger().SealEpoch(epoch);
+      EXPECT_TRUE(sealed.ok());
+      auto report = node.ProcessEpoch(*sealed);
+      EXPECT_TRUE(report.ok()) << report.status().ToString();
+    }
+    return DurableRun{det.Snapshot(), kv.Checkpoint()};
+  };
+
+  const DurableRun durable_1 = run_durable(1);
+  ASSERT_EQ(durable_1.checkpoints.size(), 3u);
+  for (const EpochCheckpoints& epoch : durable_1.checkpoints) {
+    ASSERT_TRUE(epoch.Has(DetStage::kCommit)) << epoch.epoch;
+    EXPECT_NE(epoch.Canonical(DetStage::kCommit).find("batch_digest="),
+              std::string::npos)
+        << epoch.epoch;
+  }
+  const DurableRun durable_4 = run_durable(4);
+  const DivergenceReport durable_report =
+      analysis::DiffCheckpoints(durable_1.checkpoints, durable_4.checkpoints);
+  EXPECT_FALSE(durable_report.diverged) << durable_report.summary;
+  ASSERT_EQ(durable_4.checkpoints.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(durable_1.checkpoints[i].Digest(DetStage::kCommit),
+              durable_4.checkpoints[i].Digest(DetStage::kCommit))
+        << "epoch " << durable_1.checkpoints[i].epoch;
+  }
+  EXPECT_FALSE(durable_1.kv_bytes.empty());
+  EXPECT_EQ(durable_1.kv_bytes, durable_4.kv_bytes)
+      << "durable byte stream differs between 1 and 4 workers";
 }
 
 // The serial baseline records its own kExecute/kCommit overlay encodings;

@@ -10,7 +10,6 @@
 
 #include "fault/fault.h"
 #include "node/full_node.h"
-#include "node/pipeline.h"
 #include "node/state_sync.h"
 #include "storage/kvstore.h"
 #include "storage/state_db.h"
@@ -262,98 +261,34 @@ TEST(CrashRecoverySweepTest, EverySiteEverySchemeNeverTearsState) {
   }
 }
 
-TEST(CrashRecoverySweepTest, PipelinedEverySiteRecoversAtomically) {
-  // The cross-epoch pipeline must not weaken the crash contract: with
-  // epoch 2's commit overlapping nothing less than epoch 1's full history,
-  // crash (or tear) epoch 2's commit at every site and require recovery to
-  // land on EXACTLY the pre-epoch-2 state or EXACTLY the fully-committed
-  // epoch-2 state — identical to the batch driver's contract above. Each
-  // site fires on its SECOND hit: epoch 1's clean commit is hit one.
+// A commit that fails must not advance the live ledger: the epoch root
+// installs only once the commit has landed — StateDB::Flush on a node
+// without a KVStore, the atomic KVStore::Write on a durable node.
+TEST(CommitFaultTest, FailedCommitLeavesEpochRootUninstalled) {
   WorkloadConfig wl;
   wl.num_accounts = 120;
   wl.skew = 0.5;
-  struct ModeCase {
-    SchemeKind scheme;
-    std::size_t depth;
+  struct FailCase {
+    const char* site;
+    bool durable;
   };
-  // Nezha at both pipeline depths plus the Serial passthrough.
-  const ModeCase modes[] = {{SchemeKind::kNezha, 1},
-                            {SchemeKind::kNezha, 2},
-                            {SchemeKind::kSerial, 2}};
-
-  for (const ModeCase& mode : modes) {
-    // Control run: the batch driver, both epochs clean.
-    KVStore kv_control;
-    FullNode control(MakeConfig(mode.scheme), &kv_control);
-    SmallBankWorkload workload_control(wl, 42);
-    InitNode(control, wl);
-    AppendEpochBlocks(control, workload_control, 1);
-    auto r1 = ProcessSealed(control, 1);
-    ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-    AppendEpochBlocks(control, workload_control, 2);
-    auto r2 = ProcessSealed(control, 2);
-    ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-
-    for (const std::string& site : fault::CommitPathSites()) {
-      SCOPED_TRACE(std::string(SchemeName(mode.scheme)) + " depth=" +
-                   std::to_string(mode.depth) + " crash at " + site);
-      KVStore kv;
-      {
-        FullNode node(MakeConfig(mode.scheme), &kv);
-        SmallBankWorkload workload(wl, 42);
-        InitNode(node, wl);
-        fault::Plan plan;
-        if (site == fault::sites::kKvWrite) {
-          plan.TearAt(site, /*record=*/3, /*hit_number=*/2);
-        } else {
-          plan.CrashAt(site, /*hit_number=*/2);
-        }
-        fault::ScopedPlan armed(std::move(plan));
-        PipelineOptions options;
-        options.depth = mode.depth;
-        EpochPipeline pipeline(node, options);
-        for (EpochId epoch = 1; epoch <= 2; ++epoch) {
-          std::vector<std::vector<Transaction>> chain_txs(2);
-          for (ChainId chain = 0; chain < 2; ++chain) {
-            chain_txs[chain] = workload.MakeBatch(20);
-          }
-          // Submit may already surface the latched crash; Drain must.
-          if (!pipeline.Submit(epoch, std::move(chain_txs)).ok()) break;
-        }
-        auto reports = pipeline.Drain();
-        ASSERT_FALSE(reports.ok()) << "injection did not fire";
-      }  // node and pipeline die with everything in memory
-
-      FullNode recovered(MakeConfig(mode.scheme), &kv);
-      auto rec = recovered.Recover();
-      ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-
-      const bool committed = site != fault::sites::kCommitBeforeJournal;
-      const EpochReport& expected = committed ? *r2 : *r1;
-      EXPECT_EQ(rec->state_root, expected.state_root);
-      EXPECT_EQ(recovered.state().RootHash(), expected.state_root);
-      EXPECT_EQ(rec->receipt_root, expected.receipt_root);
-      EXPECT_EQ(rec->last_committed, committed ? EpochId(2) : EpochId(1));
-      EXPECT_EQ(recovered.ledger().LastCommittedEpoch(),
-                committed ? EpochId(2) : EpochId(1));
-      const bool expect_roll = site == fault::sites::kCommitAfterJournal ||
-                               site == fault::sites::kCommitBeforeFlush ||
-                               site == fault::sites::kKvWrite;
-      EXPECT_EQ(rec->rolled_forward, expect_roll);
-      // The prepare thread appended epoch 2's blocks before its commit
-      // crashed, so the recovered ledger holds all four.
-      EXPECT_EQ(recovered.ledger().TotalBlocks(), 4u);
-
-      // A lost epoch 2 must be reprocessable from the recovered ledger's
-      // own blocks — through the plain batch driver — onto the control's
-      // epoch-2 state.
-      if (!committed) {
-        auto redo = ProcessSealed(recovered, 2);
-        ASSERT_TRUE(redo.ok()) << redo.status().ToString();
-        EXPECT_EQ(redo->state_root, r2->state_root);
-        EXPECT_EQ(redo->receipt_root, r2->receipt_root);
-      }
+  const FailCase cases[] = {{fault::sites::kStateFlush, false},
+                            {fault::sites::kKvWrite, true}};
+  for (const FailCase& c : cases) {
+    SCOPED_TRACE(c.site);
+    KVStore kv;
+    FullNode node(MakeConfig(SchemeKind::kNezha), c.durable ? &kv : nullptr);
+    SmallBankWorkload workload(wl, 42);
+    InitNode(node, wl);
+    AppendEpochBlocks(node, workload, 1);
+    ASSERT_TRUE(ProcessSealed(node, 1).ok());
+    ASSERT_EQ(node.ledger().LastCommittedEpoch(), EpochId(1));
+    AppendEpochBlocks(node, workload, 2);
+    {
+      fault::ScopedPlan armed(fault::Plan().FailAt(c.site));
+      ASSERT_FALSE(ProcessSealed(node, 2).ok()) << "injection did not fire";
     }
+    EXPECT_EQ(node.ledger().LastCommittedEpoch(), EpochId(1));
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "node/full_node.h"
 #include "node/simulation.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace nezha {
@@ -207,6 +208,32 @@ TEST(ObservabilityTest, RegistrySnapshotAgreesWithEpochReport) {
     EXPECT_EQ(got.resource_exhausted, expected.resource_exhausted);
     EXPECT_EQ(got.reordered_txs, expected.reordered_txs);
   }
+}
+
+// The flight record's scheduler facts come back from the build itself, not
+// from the registry, so they survive a run with metrics switched off: a
+// 4-worker Nezha epoch large enough to shard records the shards and
+// clusters it used (0 is reserved for non-Nezha schemes).
+TEST(ObservabilityTest, FlightRecordKeepsSchedulerFactsWithMetricsOff) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  recorder.SetEnabled(true);
+  recorder.Clear();
+  SimulationConfig config = SmallConfig(SchemeKind::kNezha);
+  config.node.worker_threads = 4;
+  config.epochs = 1;
+  obs::SetMetricsEnabled(false);
+  auto summary = RunSimulation(config);
+  obs::SetMetricsEnabled(true);
+  ASSERT_TRUE(summary.ok());
+  const std::vector<obs::EpochFlightRecord> records = recorder.Records();
+  recorder.Clear();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].scheme, "nezha");
+  EXPECT_EQ(records[0].parallel_acg_shards, 4u);
+  EXPECT_GE(records[0].parallel_sort_clusters, 1u);
+  EXPECT_EQ(summary->reports[0].cc_metrics.acg_shards, 4u);
+  EXPECT_EQ(summary->reports[0].cc_metrics.sort_clusters,
+            records[0].parallel_sort_clusters);
 }
 
 TEST(FullNodeTest, ThroughputAccountingUsesCadenceFloor) {

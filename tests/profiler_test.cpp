@@ -362,110 +362,5 @@ TEST_F(ProfilerTest, ThreadCpuClockAdvancesWithWork) {
   EXPECT_GT(after, before);
 }
 
-// ---------- interleaved epoch windows (cross-epoch pipeline) ----------
-
-// Regression: with epoch N's commit window and epoch N+1's prepare window
-// open at once, FinishEpochWindow(N) must aggregate ONLY the samples whose
-// recording thread was bound to N — epoch N+1's pool traffic, recorded in
-// the same wall interval through the same striped buffers, stays buffered
-// for its own window. (Single-window FinishEpoch used to claim everything
-// in the buffers, which under the pipeline attributed epoch N+1's prepare
-// work to epoch N's profile.)
-TEST_F(ProfilerTest, InterleavedWindowsAttributeSamplesToOwningEpoch) {
-  ThreadPool pool(2);
-  const auto run_tagged = [&pool](const char* stage, int tasks) {
-    StageScope scope(stage);
-    std::vector<std::future<void>> futures;
-    futures.reserve(static_cast<std::size_t>(tasks));
-    for (int i = 0; i < tasks; ++i) {
-      futures.push_back(pool.Submit([] { SpinFor(0.2); }));
-    }
-    for (auto& f : futures) f.get();
-  };
-
-  // Epoch 1 opens and does some commit-half work.
-  const obs::ProfileWindowId w1 = Profiler().BeginEpochWindow(1, "nezha", 2);
-  run_tagged("iw_commit_n", 4);
-
-  // Epoch 2's window opens while epoch 1 is still in flight (this thread
-  // now binds to w2, exactly like the pipeline's prepare thread).
-  const obs::ProfileWindowId w2 = Profiler().BeginEpochWindow(2, "nezha", 2);
-  ASSERT_NE(w1, w2);
-  run_tagged("iw_prepare_n1", 6);
-
-  // Epoch 1's durable tail, on a thread re-bound to w1 the way the
-  // pipeline's commit thread is.
-  {
-    obs::ProfileWindowScope rebind(w1);
-    EXPECT_EQ(obs::CurrentProfileWindow(), w1);
-    run_tagged("iw_commit_tail", 3);
-  }
-  EXPECT_EQ(obs::CurrentProfileWindow(), w2);
-
-  const EpochProfile p1 = Profiler().FinishEpochWindow(w1);
-  EXPECT_EQ(p1.epoch, 1u);
-  const StageProfile* commit_n = FindStage(p1, "iw_commit_n");
-  const StageProfile* commit_tail = FindStage(p1, "iw_commit_tail");
-  ASSERT_NE(commit_n, nullptr);
-  ASSERT_NE(commit_tail, nullptr);
-  EXPECT_EQ(commit_n->tasks, 4u);
-  EXPECT_EQ(commit_tail->tasks, 3u);
-  EXPECT_EQ(FindStage(p1, "iw_prepare_n1"), nullptr)
-      << "epoch 2's prepare work leaked into epoch 1's profile";
-  EXPECT_EQ(p1.tasks, 7u);
-
-  const EpochProfile p2 = Profiler().FinishEpochWindow(w2);
-  EXPECT_EQ(p2.epoch, 2u);
-  const StageProfile* prepare = FindStage(p2, "iw_prepare_n1");
-  ASSERT_NE(prepare, nullptr);
-  EXPECT_EQ(prepare->tasks, 6u);
-  EXPECT_EQ(FindStage(p2, "iw_commit_n"), nullptr);
-  EXPECT_EQ(FindStage(p2, "iw_commit_tail"), nullptr);
-  EXPECT_EQ(p2.tasks, 6u);
-}
-
-// Unbound (window-0) stamps belong to the EARLIEST open window, and only
-// when that window closes: a newer window finishing first — which happens
-// when an epoch aborts or the depth window reorders teardown — must leave
-// strays buffered for the older epoch rather than swallowing them.
-TEST_F(ProfilerTest, StrayStampsWaitForTheEarliestOpenWindow) {
-  const obs::ProfileWindowId w1 = Profiler().BeginEpochWindow(7, "nezha", 1);
-  const obs::ProfileWindowId w2 = Profiler().BeginEpochWindow(8, "nezha", 1);
-
-  // Attribution is what's under test; the stamps' clock values are inert
-  // (only stage presence and task counts are asserted).
-  const double now = 1'000'000.0;
-  obs::TaskSample stray;
-  stray.stage = obs::InternStage("iw_stray");
-  stray.window = obs::kProfileWindowNone;
-  stray.tid = 1;
-  stray.enqueue_us = now;
-  stray.start_us = now;
-  stray.finish_us = now + 100;
-  Profiler().RecordTask(stray);
-
-  obs::TaskSample bound = stray;
-  bound.stage = obs::InternStage("iw_bound");
-  bound.window = w2;
-  Profiler().RecordTask(bound);
-
-  // w2 closes first: it takes its bound sample, not the stray.
-  const EpochProfile p2 = Profiler().FinishEpochWindow(w2);
-  EXPECT_EQ(p2.epoch, 8u);
-  EXPECT_NE(FindStage(p2, "iw_bound"), nullptr);
-  EXPECT_EQ(FindStage(p2, "iw_stray"), nullptr)
-      << "stray claimed by a window that was not the earliest open";
-
-  // The stray is still buffered and lands with the earliest window.
-  const EpochProfile p1 = Profiler().FinishEpochWindow(w1);
-  EXPECT_EQ(p1.epoch, 7u);
-  const StageProfile* claimed = FindStage(p1, "iw_stray");
-  ASSERT_NE(claimed, nullptr);
-  EXPECT_EQ(claimed->tasks, 1u);
-
-  // Closing an already-closed window is a harmless no-op.
-  EXPECT_EQ(Profiler().FinishEpochWindow(w2).epoch, 0u);
-}
-
 }  // namespace
 }  // namespace nezha
