@@ -6,8 +6,8 @@
 
 #include "bench/bench_util.h"
 #include "cc/nezha/nezha_scheduler.h"
+#include "cc/nezha/parallel_executor.h"
 #include "common/stopwatch.h"
-#include "runtime/committer.h"
 #include "runtime/concurrent_executor.h"
 #include "workload/smallbank_workload.h"
 
@@ -46,7 +46,7 @@ int main() {
       auto schedule = scheduler.BuildSchedule(exec.rwsets);
       watch.Restart();
       StateDB state;
-      CommitSchedule(pool, state, *schedule, exec.rwsets);
+      ExecuteScheduleParallel(pool, state, snap, *schedule, exec.rwsets);
       commit_ms += watch.ElapsedMillis();
     }
     exec_ms /= static_cast<double>(reps);

@@ -9,8 +9,8 @@
 #include "bench/bench_util.h"
 #include "cc/cg/cg_scheduler.h"
 #include "cc/nezha/nezha_scheduler.h"
+#include "cc/nezha/parallel_executor.h"
 #include "common/stopwatch.h"
-#include "runtime/committer.h"
 #include "runtime/concurrent_executor.h"
 #include "workload/smallbank_workload.h"
 
@@ -61,7 +61,7 @@ int main() {
 
         Stopwatch watch;
         StateDB state;
-        CommitSchedule(pool, state, *schedule, exec.rwsets);
+        ExecuteScheduleParallel(pool, state, snap, *schedule, exec.rwsets);
         commit += watch.ElapsedMillis();
       }
       const double r = static_cast<double>(reps);

@@ -10,7 +10,7 @@
 #include "common/stopwatch.h"
 #include "cc/cg/cg_scheduler.h"
 #include "cc/nezha/nezha_scheduler.h"
-#include "runtime/committer.h"
+#include "cc/nezha/parallel_executor.h"
 #include "runtime/concurrent_executor.h"
 #include "workload/smallbank_workload.h"
 
@@ -31,7 +31,7 @@ Measurement MeasureScheme(Scheduler& scheduler,
   auto schedule = scheduler.BuildSchedule(rwsets);
   if (!schedule.ok()) return {};
   StateDB state;
-  CommitSchedule(pool, state, *schedule, rwsets);
+  ExecuteScheduleParallel(pool, state, StateSnapshot{}, *schedule, rwsets);
   Measurement m;
   m.cc_commit_ms = watch.ElapsedMillis();
   m.exhausted = scheduler.metrics().resource_exhausted;

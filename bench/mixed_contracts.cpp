@@ -10,9 +10,9 @@
 
 #include "bench/bench_util.h"
 #include "cc/nezha/nezha_scheduler.h"
+#include "cc/nezha/parallel_executor.h"
 #include "common/stopwatch.h"
 #include "node/full_node.h"
-#include "runtime/committer.h"
 #include "runtime/concurrent_executor.h"
 #include "workload/mixed_workload.h"
 
@@ -62,8 +62,8 @@ int main() {
 
       ThreadPool pool(0);
       StateDB state;
-      const CommitStats stats =
-          CommitSchedule(pool, state, *schedule, exec.rwsets);
+      const ParallelExecStats stats =
+          ExecuteScheduleParallel(pool, state, snap, *schedule, exec.rwsets);
       max_group = std::max(max_group, stats.max_group);
     }
     const double r = static_cast<double>(reps);

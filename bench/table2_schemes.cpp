@@ -8,9 +8,9 @@
 #include <memory>
 
 #include "bench/bench_util.h"
+#include "cc/nezha/parallel_executor.h"
 #include "common/stopwatch.h"
 #include "node/full_node.h"
-#include "runtime/committer.h"
 #include "runtime/concurrent_executor.h"
 #include "workload/smallbank_workload.h"
 
@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
     const double cc_ms = watch.ElapsedMillis();
     if (!schedule.ok()) return 1;
     StateDB state;
-    const CommitStats stats = CommitSchedule(pool, state, *schedule,
-                                             exec.rwsets);
+    const ParallelExecStats stats =
+        ExecuteScheduleParallel(pool, state, snap, *schedule, exec.rwsets);
     Row({std::string(scheduler->name()), Fmt(cc_ms, 2),
          FmtPct(schedule->AbortRate()), FmtInt(stats.groups),
          FmtInt(stats.max_group),

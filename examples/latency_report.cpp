@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
     const obs::EpochLatencySummary& latency = report.latency;
     if (latency.tracked == 0) continue;
     std::printf(
-        "epoch %-4llu  %4zu txs (%zu committed, %zu aborted)  "
+        "epoch %-4llu  %4u txs (%u committed, %u aborted)  "
         "e2e p50 %8.3f ms  p95 %8.3f ms  p99 %8.3f ms  max %8.3f ms\n",
         static_cast<unsigned long long>(latency.epoch), latency.tracked,
         latency.committed, latency.aborted, latency.e2e.p50_ms,

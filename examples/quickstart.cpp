@@ -11,8 +11,8 @@
 #include <cstdio>
 
 #include "cc/nezha/nezha_scheduler.h"
+#include "cc/nezha/parallel_executor.h"
 #include "common/thread_pool.h"
-#include "runtime/committer.h"
 #include "runtime/concurrent_executor.h"
 #include "storage/state_db.h"
 #include "vm/smallbank.h"
@@ -62,7 +62,7 @@ int main() {
   }
 
   // 5. Commit and read the final balances.
-  CommitSchedule(pool, state, *schedule, exec.rwsets);
+  ExecuteScheduleParallel(pool, state, snapshot, *schedule, exec.rwsets);
   std::printf("\nfinal checking balances: acct0=%lld acct1=%lld acct2=%lld\n",
               static_cast<long long>(state.Get(CheckingAddress(0))),
               static_cast<long long>(state.Get(CheckingAddress(1))),

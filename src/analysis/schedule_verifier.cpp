@@ -1,10 +1,12 @@
 #include "analysis/schedule_verifier.h"
 
 #include <algorithm>
+#include <map>
 #include <unordered_map>
 
 #include "graph/digraph.h"
 #include "graph/tarjan.h"
+#include "vm/logged_state.h"
 
 namespace nezha::analysis {
 namespace {
@@ -30,6 +32,17 @@ Counterexample Pair(ViolationKind kind, TxIndex a, TxIndex b, Address addr,
 Counterexample Malformed(std::string detail) {
   Counterexample c;
   c.kind = ViolationKind::kMalformedSchedule;
+  c.detail = std::move(detail);
+  return c;
+}
+
+Counterexample ReplayDivergence(std::vector<TxIndex> txs,
+                                std::vector<Address> addresses,
+                                std::string detail) {
+  Counterexample c;
+  c.kind = ViolationKind::kReplayDivergence;
+  c.txs = std::move(txs);
+  c.addresses = std::move(addresses);
   c.detail = std::move(detail);
   return c;
 }
@@ -82,6 +95,8 @@ const char* ViolationKindName(ViolationKind kind) {
       return "reorder-violation";
     case ViolationKind::kWitnessBroken:
       return "witness-broken";
+    case ViolationKind::kReplayDivergence:
+      return "replay-divergence";
   }
   return "?";
 }
@@ -401,6 +416,94 @@ VerifyReport VerifySchedule(const Schedule& schedule,
             "edge " + TxName(to_tx[u]) + " -> " + TxName(to_tx[v]) +
                 " goes backward in the (sequence, index) witness order"));
       }
+    }
+  }
+  return report;
+}
+
+VerifyReport VerifyByReplay(const StateSnapshot& snapshot,
+                            std::span<const Transaction> txs,
+                            const Schedule& schedule,
+                            std::span<const ReadWriteSet> rwsets,
+                            ExecMode mode) {
+  const std::size_t n = txs.size();
+  if (rwsets.size() != n || schedule.sequence.size() != n ||
+      schedule.aborted.size() != n) {
+    return VerifyReport::Failure(Malformed(
+        std::to_string(n) + " txs, " + std::to_string(rwsets.size()) +
+        " rwsets, schedule covers " +
+        std::to_string(schedule.sequence.size()) + "/" +
+        std::to_string(schedule.aborted.size())));
+  }
+
+  // Serial order: committed transactions in ascending (sequence, index).
+  VerifyReport report;
+  for (TxIndex t = 0; t < n; ++t) {
+    if (!schedule.aborted[t]) report.witness.push_back(t);
+  }
+  std::sort(report.witness.begin(), report.witness.end(),
+            [&](TxIndex a, TxIndex b) {
+              return schedule.sequence[a] != schedule.sequence[b]
+                         ? schedule.sequence[a] < schedule.sequence[b]
+                         : a < b;
+            });
+  report.graph_vertices = report.witness.size();
+
+  // What the schedule commits: the recorded snapshot-based writes applied
+  // in serial order (a later sequence overwrites an earlier one), keyed in
+  // ascending address order so the first divergence reported is the
+  // lowest address.
+  std::map<std::uint64_t, StateValue> expected;
+  for (const TxIndex t : report.witness) {
+    const ReadWriteSet& rw = rwsets[t];
+    for (std::size_t i = 0; i < rw.writes.size(); ++i) {
+      expected[rw.writes[i].value] = rw.write_values[i];
+    }
+  }
+
+  // Replay: each transaction re-executes against the evolving state.
+  LoggedStateView::Overlay replayed;
+  for (const TxIndex t : report.witness) {
+    LoggedStateView view(snapshot, &replayed);
+    if (Status s = ExecuteTransaction(txs[t], view, mode); !s.ok()) {
+      return VerifyReport::Failure(ReplayDivergence(
+          {t}, {}, TxName(t) + " failed in serial replay: " + s.ToString()));
+    }
+    ReadWriteSet rw = view.TakeRWSet();
+    if (!rw.ok) {
+      // A committed transaction must not revert when replayed serially:
+      // the schedule guarantees its reads see the very snapshot values it
+      // was simulated against.
+      return VerifyReport::Failure(ReplayDivergence(
+          {t}, {},
+          "committed " + TxName(t) + " (seq " +
+              std::to_string(schedule.sequence[t]) +
+              ") reverted in serial replay"));
+    }
+    for (std::size_t i = 0; i < rw.writes.size(); ++i) {
+      replayed[rw.writes[i].value] = rw.write_values[i];
+    }
+  }
+
+  if (replayed.size() != expected.size()) {
+    return VerifyReport::Failure(ReplayDivergence(
+        {}, {},
+        "serial replay wrote " + std::to_string(replayed.size()) +
+            " addresses, the schedule " + std::to_string(expected.size())));
+  }
+  for (const auto& [addr, value] : expected) {
+    const auto it = replayed.find(addr);
+    if (it == replayed.end()) {
+      return VerifyReport::Failure(ReplayDivergence(
+          {}, {Address(addr)},
+          "serial replay never wrote " + nezha::ToString(Address(addr))));
+    }
+    if (it->second != value) {
+      return VerifyReport::Failure(ReplayDivergence(
+          {}, {Address(addr)},
+          "replay divergence at " + nezha::ToString(Address(addr)) +
+              ": serial " + std::to_string(it->second) + " vs scheduled " +
+              std::to_string(value)));
     }
   }
   return report;

@@ -27,6 +27,11 @@
 //     every committed reader of each address they write;
 //   * aborted transactions absent from the commit order;
 //   * groups exactly mirroring (sequence, aborted).
+//
+// VerifyByReplay is the end-to-end mode: it re-executes the committed
+// transactions' code one by one, in (sequence, index) order, against an
+// evolving state, and checks that the result is exactly the state the
+// schedule's recorded write sets produce.
 #pragma once
 
 #include <span>
@@ -35,6 +40,9 @@
 
 #include "cc/scheduler.h"
 #include "common/types.h"
+#include "ledger/transaction.h"
+#include "storage/state_db.h"
+#include "vm/executor.h"
 #include "vm/rwset.h"
 
 namespace nezha::analysis {
@@ -48,6 +56,7 @@ enum class ViolationKind {
   kWriterSeqCollision,  ///< two committed writers of one address share a seq
   kReorderViolation,    ///< §IV.D reordered tx broke the landing rule
   kWitnessBroken,       ///< an edge goes backward in the witness order
+  kReplayDivergence,    ///< serial re-execution disagrees with the schedule
 };
 
 const char* ViolationKindName(ViolationKind kind);
@@ -100,5 +109,17 @@ struct VerifyReport {
 VerifyReport VerifySchedule(const Schedule& schedule,
                             std::span<const ReadWriteSet> rwsets,
                             const VerifierOptions& options = {});
+
+/// Replay mode: executes the committed transactions serially, in
+/// (sequence, index) order, against `snapshot` plus an overlay of every
+/// earlier replayed write, and compares the final overlay with the state
+/// the recorded write sets produce — same addresses, same values, compared
+/// in ascending address order. A replay that fails, reverts, or lands
+/// anywhere else is kReplayDivergence; the witness is the replay order.
+VerifyReport VerifyByReplay(const StateSnapshot& snapshot,
+                            std::span<const Transaction> txs,
+                            const Schedule& schedule,
+                            std::span<const ReadWriteSet> rwsets,
+                            ExecMode mode = ExecMode::kNative);
 
 }  // namespace nezha::analysis

@@ -1,76 +1,44 @@
 #include "node/deferred_executor.h"
 
-#include "common/stopwatch.h"
-#include "node/receipts.h"
-#include "obs/tx_lifecycle.h"
-#include "runtime/committer.h"
-#include "runtime/concurrent_executor.h"
-
 namespace nezha {
+namespace {
+
+NodeConfig ToNodeConfig(const DeferredExecConfig& config) {
+  NodeConfig node;
+  node.scheme = config.scheme;
+  node.max_chains = 1;  // one block per batch, all on chain 0
+  node.worker_threads = config.worker_threads;
+  node.exec_mode = config.exec_mode;
+  return node;
+}
+
+}  // namespace
 
 DeferredExecutionPipeline::DeferredExecutionPipeline(
     const DeferredExecConfig& config)
-    : config_(config),
-      pool_(config.worker_threads),
-      scheduler_(MakeScheduler(config.scheme)) {}
+    : node_(ToNodeConfig(config)) {}
 
 Result<EpochReport> DeferredExecutionPipeline::ProcessBatch(
     const std::vector<Transaction>& txs) {
-  EpochReport report;
-  report.epoch = next_epoch_++;
-
+  const EpochId epoch = next_epoch_++;
   std::vector<Transaction> fresh;
   fresh.reserve(txs.size());
   for (const Transaction& tx : txs) {
     if (seen_txs_.insert(tx.Id()).second) fresh.push_back(tx);
   }
-  report.txs = fresh.size();
   if (fresh.empty()) {
-    report.state_root = state_.RootHash();
+    EpochReport report;
+    report.epoch = epoch;
+    report.state_root = node_.state().RootHash();
     return report;
   }
 
-  // Lifecycle: a batch handed to the deferred pipeline is by definition
-  // consensus-confirmed (the bridge ordered it), so open the epoch at
-  // kConfirmed; any ingress stamps from a mempool are claimed by key.
-  obs::TxLifecycleTracer& lifecycle = obs::Lifecycle();
-  if (lifecycle.enabled()) {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(fresh.size());
-    for (const Transaction& tx : fresh) keys.push_back(LifecycleKey(tx));
-    lifecycle.BeginEpoch(report.epoch, SchemeName(config_.scheme), keys);
-    lifecycle.StampAll(obs::TxStage::kConfirmed);
-  }
-
-  Stopwatch watch;
-  const StateSnapshot snapshot = state_.MakeSnapshot(report.epoch);
-  BatchExecutionResult exec =
-      ExecuteBatchConcurrent(pool_, snapshot, fresh, config_.exec_mode);
-  report.execute_ms = watch.ElapsedMillis();
-
-  watch.Restart();
-  auto schedule = scheduler_->BuildSchedule(exec.rwsets);
-  if (!schedule.ok()) return schedule.status();
-  report.cc_ms = watch.ElapsedMillis();
-  report.cc_metrics = scheduler_->metrics();
-
-  watch.Restart();
-  const CommitStats commit =
-      CommitSchedule(pool_, state_, *schedule, exec.rwsets);
-  // CommitSchedule both executes the groups and applies them, so the two
-  // trailing stages collapse to one stamp each.
-  lifecycle.StampAll(obs::TxStage::kExecuted);
-  report.state_root = state_.RootHash();
-  lifecycle.StampAll(obs::TxStage::kCommitted);
-  report.commit_ms = watch.ElapsedMillis();
-
-  report.committed = commit.committed_txs;
-  report.aborted = schedule->NumAborted();
-  report.max_commit_group = commit.max_group;
-  report.receipt_root = ComputeReceiptRoot(
-      BuildReceipts(report.epoch, fresh, exec.rwsets, *schedule));
-  report.latency = lifecycle.FinishEpoch();
-  return report;
+  ParallelChainLedger& ledger = node_.ledger();
+  Block block = ledger.BuildBlock(0, epoch, std::move(fresh));
+  if (Status s = ledger.AppendBlock(std::move(block)); !s.ok()) return s;
+  auto batch = ledger.SealEpoch(epoch);
+  if (!batch.ok()) return batch.status();
+  return node_.ProcessEpoch(batch.value());
 }
 
 }  // namespace nezha

@@ -1,20 +1,22 @@
 // DeferredExecutionPipeline: the shared post-consensus execution engine
-// behind both DAG bridges (OHIE rank windows and Conflux-style epochs).
+// behind the three DAG bridges (OHIE rank windows, Conflux-style epochs and
+// DAG-Rider wave batches).
 //
-// Feeds one deterministic transaction batch at a time through concurrent
-// speculative execution -> the configured scheduler -> grouped commitment,
-// deduplicating transactions across batches (first confirmed appearance
-// wins, §III.B).
+// Execution after consensus runs along the node's one path (Fig. 2b): each
+// non-empty batch becomes one block of a fresh epoch on the pipeline's own
+// FullNode — BuildBlock -> AppendBlock -> SealEpoch -> ProcessEpoch, the
+// calls RunSimulation makes — so the bridges get the same validation,
+// scheduling, group-parallel commitment, receipts and observability as
+// every other epoch. What the pipeline adds is the bridges' batch
+// bookkeeping: transactions are deduplicated across batches (first
+// confirmed appearance wins, §III.B), every batch consumes one epoch id,
+// and a batch left empty by deduplication executes nothing.
 #pragma once
 
-#include <memory>
 #include <unordered_set>
 #include <vector>
 
-#include "cc/scheduler.h"
-#include "common/thread_pool.h"
 #include "node/full_node.h"
-#include "storage/state_db.h"
 
 namespace nezha {
 
@@ -28,17 +30,16 @@ class DeferredExecutionPipeline {
  public:
   explicit DeferredExecutionPipeline(const DeferredExecConfig& config);
 
-  StateDB& state() { return state_; }
+  StateDB& state() { return node_.state(); }
 
   /// Executes one batch (already in its protocol-defined order); duplicates
   /// of transactions seen in earlier batches are dropped before execution.
+  /// The batch travels as one block, so a batch with more fresh
+  /// transactions than the ledger's block admission cap fails.
   Result<EpochReport> ProcessBatch(const std::vector<Transaction>& txs);
 
  private:
-  DeferredExecConfig config_;
-  StateDB state_;
-  ThreadPool pool_;
-  std::unique_ptr<Scheduler> scheduler_;
+  FullNode node_;
   EpochId next_epoch_ = 1;
   std::unordered_set<Hash256> seen_txs_;
 };

@@ -23,9 +23,7 @@
 #include "obs/trace.h"
 #include "obs/tx_lifecycle.h"
 #include "runtime/concurrent_executor.h"
-#include "vm/contract.h"
 #include "vm/logged_state.h"
-#include "vm/minivm.h"
 
 namespace nezha {
 
@@ -224,15 +222,7 @@ void ExecuteSerially(StateDB& state, const EpochBatch& batch, ExecMode mode,
   for (std::size_t t = 0; t < batch.txs.size(); ++t) {
     const Transaction& tx = batch.txs[t];
     LoggedStateView view(base, &overlay);
-    Status executed;
-    if (mode == ExecMode::kNative) {
-      executed = ExecuteContract(tx.payload, view);
-    } else {
-      auto program = CompileContract(tx.payload);
-      executed = program.ok() ? RunProgram(program.value(), view).status
-                              : program.status();
-    }
-    if (!executed.ok()) {
+    if (!ExecuteTransaction(tx, view, mode).ok()) {
       ++report.aborted;  // malformed transaction: skipped
       lifecycle.MarkAborted(
           static_cast<std::uint32_t>(t),
@@ -567,7 +557,5 @@ Result<FullNode::RecoveryReport> FullNode::Recover() {
   }
   return recovery;
 }
-
-Status FullNode::RecoverFromStorage() { return Recover().status(); }
 
 }  // namespace nezha

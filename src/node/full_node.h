@@ -134,10 +134,6 @@ class FullNode {
   ///     must agree with the recovered ledger — Corruption otherwise.
   Result<RecoveryReport> Recover();
 
-  /// Status-only wrapper around Recover() (pre-journal API, kept for
-  /// callers that don't need the report).
-  Status RecoverFromStorage();
-
  private:
   /// The durable-commit tail of every scheme: journal + one atomic commit
   /// batch (state, receipts, epoch root), with the commit-path injection

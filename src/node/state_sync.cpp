@@ -131,6 +131,8 @@ Result<StateChunk> StateSyncServer::GetChunk(std::uint64_t index) const {
     case fault::Action::kCrash:
       return fault::CrashStatus(fault::sites::kSyncServeChunk);
     case fault::Action::kTear:
+    case fault::Action::kDuplicate:
+    case fault::Action::kReorder:
       break;  // not meaningful for a read path
   }
   return chunk;

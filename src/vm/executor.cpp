@@ -2,21 +2,23 @@
 
 #include "vm/contract.h"
 #include "vm/logged_state.h"
+#include "vm/minivm.h"
 
 namespace nezha {
+
+Status ExecuteTransaction(const Transaction& tx, LoggedStateView& view,
+                          ExecMode mode) {
+  if (mode == ExecMode::kNative) return ExecuteContract(tx.payload, view);
+  auto program = CompileContract(tx.payload);
+  if (!program.ok()) return program.status();
+  return RunProgram(program.value(), view).status;
+}
 
 Result<ReadWriteSet> SimulateTransaction(const StateSnapshot& snapshot,
                                          const Transaction& tx,
                                          ExecMode mode) {
   LoggedStateView view(snapshot);
-  if (mode == ExecMode::kNative) {
-    if (Status s = ExecuteContract(tx.payload, view); !s.ok()) return s;
-  } else {
-    auto program = CompileContract(tx.payload);
-    if (!program.ok()) return program.status();
-    const VmOutcome outcome = RunProgram(program.value(), view);
-    if (!outcome.status.ok()) return outcome.status;
-  }
+  if (Status s = ExecuteTransaction(tx, view, mode); !s.ok()) return s;
   return view.TakeRWSet();
 }
 

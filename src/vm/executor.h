@@ -15,7 +15,16 @@
 
 namespace nezha {
 
+class LoggedStateView;
+
 enum class ExecMode { kNative, kBytecode };
+
+/// Runs `tx` against `view` on the chosen execution path — the one place
+/// the native/bytecode dispatch lives. Errors on malformed payloads,
+/// unknown contracts or VM faults; a contract-level revert is an ok()
+/// status with the view marked reverted.
+Status ExecuteTransaction(const Transaction& tx, LoggedStateView& view,
+                          ExecMode mode);
 
 /// Simulates `tx` against `snapshot`; returns its read/write set.
 /// Errors on malformed payloads or unknown contracts; a contract-level

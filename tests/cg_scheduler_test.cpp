@@ -5,9 +5,9 @@
 
 #include <algorithm>
 
+#include "analysis/schedule_verifier.h"
 #include "cc/cg/cg_scheduler.h"
 #include "runtime/concurrent_executor.h"
-#include "runtime/serializability.h"
 #include "workload/smallbank_workload.h"
 
 namespace nezha {
@@ -57,8 +57,8 @@ TEST(CgSchedulerTest, CycleForcesAbort) {
   ASSERT_TRUE(schedule.ok());
   EXPECT_EQ(schedule->NumAborted(), 1u);
   EXPECT_GE(scheduler.metrics().cycles_found, 1u);
-  const auto report = ValidateScheduleInvariants(*schedule, rwsets);
-  EXPECT_TRUE(report.ok) << report.violation;
+  const auto report = analysis::VerifySchedule(*schedule, rwsets);
+  EXPECT_TRUE(report.ok) << report.counterexample.ToString();
 }
 
 TEST(CgSchedulerTest, VictimBreaksMostCycles) {
@@ -99,8 +99,8 @@ TEST(CgSchedulerTest, BudgetExhaustionDegradesGracefully) {
   ASSERT_TRUE(schedule.ok());
   EXPECT_TRUE(scheduler.metrics().resource_exhausted);
   EXPECT_GE(schedule->NumAborted(), 10u);
-  const auto report = ValidateScheduleInvariants(*schedule, rwsets);
-  EXPECT_TRUE(report.ok) << report.violation;
+  const auto report = analysis::VerifySchedule(*schedule, rwsets);
+  EXPECT_TRUE(report.ok) << report.counterexample.ToString();
 }
 
 TEST(CgSchedulerTest, MetricsPhasesPopulated) {
@@ -138,11 +138,11 @@ TEST(CgSchedulerTest, ScheduleIsSerializableOnContendedWorkload) {
   CGScheduler scheduler;
   auto schedule = scheduler.BuildSchedule(exec.rwsets);
   ASSERT_TRUE(schedule.ok());
-  const auto structural = ValidateScheduleInvariants(*schedule, exec.rwsets);
-  EXPECT_TRUE(structural.ok) << structural.violation;
+  const auto structural = analysis::VerifySchedule(*schedule, exec.rwsets);
+  EXPECT_TRUE(structural.ok) << structural.counterexample.ToString();
   const auto replay =
-      ValidateByReplay(snap, txs, *schedule, exec.rwsets);
-  EXPECT_TRUE(replay.ok) << replay.violation;
+      analysis::VerifyByReplay(snap, txs, *schedule, exec.rwsets);
+  EXPECT_TRUE(replay.ok) << replay.counterexample.ToString();
 }
 
 TEST(CgSchedulerTest, DeterministicAcrossRuns) {

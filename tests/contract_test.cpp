@@ -3,9 +3,9 @@
 // mixed-contract traffic through the schedulers.
 #include <gtest/gtest.h>
 
+#include "analysis/schedule_verifier.h"
 #include "cc/nezha/nezha_scheduler.h"
 #include "runtime/concurrent_executor.h"
-#include "runtime/serializability.h"
 #include "vm/contract.h"
 #include "vm/executor.h"
 #include "vm/kv_contract.h"
@@ -216,10 +216,11 @@ TEST(MixedTrafficTest, NezhaSchedulesMixedContractsSerializably) {
   NezhaScheduler scheduler;
   auto schedule = scheduler.BuildSchedule(exec.rwsets);
   ASSERT_TRUE(schedule.ok());
-  const auto structural = ValidateScheduleInvariants(*schedule, exec.rwsets);
-  EXPECT_TRUE(structural.ok) << structural.violation;
-  const auto replay = ValidateByReplay(snap, txs, *schedule, exec.rwsets);
-  EXPECT_TRUE(replay.ok) << replay.violation;
+  const auto structural = analysis::VerifySchedule(*schedule, exec.rwsets);
+  EXPECT_TRUE(structural.ok) << structural.counterexample.ToString();
+  const auto replay =
+      analysis::VerifyByReplay(snap, txs, *schedule, exec.rwsets);
+  EXPECT_TRUE(replay.ok) << replay.counterexample.ToString();
   // The KV contract's blind writes give §IV.D something to rescue.
   EXPECT_GT(schedule->NumCommitted(), 0u);
 }
@@ -271,8 +272,8 @@ TEST(MixedTrafficTest, ReorderingFiresOnChainWithKVTraffic) {
     NezhaScheduler scheduler;
     auto schedule = scheduler.BuildSchedule(exec.rwsets);
     ASSERT_TRUE(schedule.ok());
-    const auto report = ValidateScheduleInvariants(*schedule, exec.rwsets);
-    ASSERT_TRUE(report.ok) << report.violation;
+    const auto report = analysis::VerifySchedule(*schedule, exec.rwsets);
+    ASSERT_TRUE(report.ok) << report.counterexample.ToString();
     total_rescued += scheduler.metrics().reordered_txs;
   }
   EXPECT_GT(total_rescued, 0u);

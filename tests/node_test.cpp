@@ -2,6 +2,7 @@
 // the simulation driver, and cross-scheme state agreement.
 #include <gtest/gtest.h>
 
+#include "node/deferred_executor.h"
 #include "node/full_node.h"
 #include "node/simulation.h"
 #include "obs/flight_recorder.h"
@@ -234,6 +235,29 @@ TEST(ObservabilityTest, FlightRecordKeepsSchedulerFactsWithMetricsOff) {
   EXPECT_EQ(summary->reports[0].cc_metrics.acg_shards, 4u);
   EXPECT_EQ(summary->reports[0].cc_metrics.sort_clusters,
             records[0].parallel_sort_clusters);
+}
+
+TEST(DeferredPipelineTest, SerialBatchSeesEarlierWritesOfTheBatch) {
+  // Serial in the deferred path executes each transaction against the
+  // writes of the ones before it. Simulating both against the batch
+  // snapshot and applying the recorded writes instead would leave
+  // checking(0) at 100 + 5 = 105: the payment's debit lost, money created.
+  DeferredExecConfig config;
+  config.scheme = SchemeKind::kSerial;
+  config.worker_threads = 2;
+  DeferredExecutionPipeline pipeline(config);
+  pipeline.state().Set(CheckingAddress(0), 100);
+  pipeline.state().Set(CheckingAddress(1), 100);
+
+  std::vector<Transaction> txs(2);
+  txs[0].payload = MakeSmallBankCall(SmallBankOp::kSendPayment, {0, 1, 30});
+  txs[1].payload = MakeSmallBankCall(SmallBankOp::kUpdateBalance, {0, 5});
+  const auto report = pipeline.ProcessBatch(txs);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->committed, 2u);
+  EXPECT_EQ(report->aborted, 0u);
+  EXPECT_EQ(pipeline.state().Get(CheckingAddress(0)), 75);
+  EXPECT_EQ(pipeline.state().Get(CheckingAddress(1)), 130);
 }
 
 TEST(FullNodeTest, ThroughputAccountingUsesCadenceFloor) {

@@ -3,10 +3,10 @@
 
 #include <algorithm>
 
+#include "analysis/schedule_verifier.h"
 #include "cc/occ/occ_scheduler.h"
 #include "cc/nezha/nezha_scheduler.h"
 #include "runtime/concurrent_executor.h"
-#include "runtime/serializability.h"
 #include "workload/smallbank_workload.h"
 
 namespace nezha {
@@ -80,10 +80,11 @@ TEST(OccSchedulerTest, SchedulesAreSerializable) {
   OCCScheduler scheduler;
   auto schedule = scheduler.BuildSchedule(exec.rwsets);
   ASSERT_TRUE(schedule.ok());
-  const auto structural = ValidateScheduleInvariants(*schedule, exec.rwsets);
-  EXPECT_TRUE(structural.ok) << structural.violation;
-  const auto replay = ValidateByReplay(snap, txs, *schedule, exec.rwsets);
-  EXPECT_TRUE(replay.ok) << replay.violation;
+  const auto structural = analysis::VerifySchedule(*schedule, exec.rwsets);
+  EXPECT_TRUE(structural.ok) << structural.counterexample.ToString();
+  const auto replay =
+      analysis::VerifyByReplay(snap, txs, *schedule, exec.rwsets);
+  EXPECT_TRUE(replay.ok) << replay.counterexample.ToString();
 }
 
 TEST(OccSchedulerTest, AbortsMoreThanNezhaUnderContention) {

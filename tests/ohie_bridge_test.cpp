@@ -5,6 +5,9 @@
 // often it catches up.
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "analysis/det_checkpoint.h"
 #include "consensus/ohie_sim.h"
 #include "node/ohie_bridge.h"
 #include "workload/smallbank_workload.h"
@@ -72,6 +75,55 @@ TEST(OhieBridgeTest, AllReplicasReachTheSameStateRoot) {
     } else {
       EXPECT_EQ(root, reference) << "node " << i;
       EXPECT_EQ(committed, reference_committed);
+    }
+  }
+}
+
+TEST(OhieBridgeTest, EachWindowRecordsItsOwnCheckpoints) {
+  // The consensus sim's checkpoint record keeps only its kConsensus digest;
+  // every executed rank window opens its own (epoch, scheme) record, as
+  // every epoch through FullNode::ProcessEpoch does.
+  using analysis::DetCheckpointRecorder;
+  using analysis::DetStage;
+  struct RecorderGuard {
+    RecorderGuard() {
+      DetCheckpointRecorder::Global().Clear();
+      DetCheckpointRecorder::Global().SetEnabled(true);
+    }
+    ~RecorderGuard() {
+      DetCheckpointRecorder::Global().SetEnabled(std::nullopt);
+      DetCheckpointRecorder::Global().Clear();
+    }
+  } guard;
+  const DetCheckpointRecorder& det = DetCheckpointRecorder::Global();
+
+  SharedTxSource source(0.7);
+  OhieSimulation sim(SimConfig(7), [&source](NodeId) {
+    return source.Take(10);
+  });
+  sim.Run();
+  OhieBridgeConfig bridge_config;
+  bridge_config.worker_threads = 2;
+  OhieDeferredExecutor executor(bridge_config);
+  auto reports = executor.CatchUp(sim.node(0));
+  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+  ASSERT_FALSE(reports->empty());
+
+  const auto sim_record = det.Find(0, "ohie-sim");
+  ASSERT_TRUE(sim_record.has_value());
+  EXPECT_TRUE(sim_record->Has(DetStage::kConsensus));
+  for (const DetStage stage : {DetStage::kAcg, DetStage::kRank,
+                               DetStage::kSort, DetStage::kExecute,
+                               DetStage::kCommit}) {
+    EXPECT_FALSE(sim_record->Has(stage)) << analysis::DetStageName(stage);
+  }
+  for (const EpochReport& report : *reports) {
+    const auto record = det.Find(report.epoch, "nezha");
+    ASSERT_TRUE(record.has_value()) << "epoch " << report.epoch;
+    for (const DetStage stage :
+         {DetStage::kSort, DetStage::kExecute, DetStage::kCommit}) {
+      EXPECT_TRUE(record->Has(stage)) << "epoch " << report.epoch << " "
+                                      << analysis::DetStageName(stage);
     }
   }
 }

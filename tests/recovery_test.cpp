@@ -190,7 +190,7 @@ TEST(NodeRecoveryTest, RestartContinuesIdenticallyToUnbrokenRun) {
     drive(node_b, workload_b, 1, 2);
   }  // crash: everything in memory is gone
   FullNode recovered(make_config(), &kv_b);
-  ASSERT_TRUE(recovered.RecoverFromStorage().ok());
+  ASSERT_TRUE(recovered.Recover().ok());
   const Hash256 resumed = drive(recovered, workload_b, 3, 4);
 
   EXPECT_EQ(resumed, continuous);
@@ -212,7 +212,7 @@ TEST(NodeRecoveryTest, DetectsStateLedgerMismatch) {
   kv.Put(it.key(), bytes);
 
   FullNode recovered(NodeConfig{}, &kv);
-  EXPECT_EQ(recovered.RecoverFromStorage().code(), StatusCode::kCorruption);
+  EXPECT_EQ(recovered.Recover().status().code(), StatusCode::kCorruption);
 }
 
 // ---------- commit journal ----------

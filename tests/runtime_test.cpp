@@ -1,13 +1,14 @@
-// Tests for the runtime layer: concurrent executor, grouped committer, and
-// the serializability validator itself (including negative cases).
+// Tests for the runtime layer: the concurrent executor, grouped commitment
+// through the node's group-parallel executor, and the serializability
+// oracle's structural and replay modes (including negative cases).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "analysis/schedule_verifier.h"
 #include "cc/nezha/nezha_scheduler.h"
-#include "runtime/committer.h"
+#include "cc/nezha/parallel_executor.h"
 #include "runtime/concurrent_executor.h"
-#include "runtime/serializability.h"
 #include "workload/smallbank_workload.h"
 
 namespace nezha {
@@ -66,7 +67,7 @@ TEST(ConcurrentExecutorTest, BytecodeModeWorks) {
   }
 }
 
-// ---------- committer ----------
+// ---------- grouped commitment ----------
 
 TEST(CommitterTest, AppliesAllCommittedWrites) {
   std::vector<ReadWriteSet> rwsets(3);
@@ -81,7 +82,8 @@ TEST(CommitterTest, AppliesAllCommittedWrites) {
 
   ThreadPool pool(2);
   StateDB state;
-  const CommitStats stats = CommitSchedule(pool, state, schedule, rwsets);
+  const ParallelExecStats stats =
+      ExecuteScheduleParallel(pool, state, StateSnapshot{}, schedule, rwsets);
   EXPECT_EQ(stats.committed_txs, 3u);
   EXPECT_EQ(stats.groups, 2u);
   EXPECT_EQ(stats.max_group, 2u);
@@ -104,7 +106,7 @@ TEST(CommitterTest, AbortedTxsWriteNothing) {
 
   ThreadPool pool(2);
   StateDB state;
-  CommitSchedule(pool, state, schedule, rwsets);
+  ExecuteScheduleParallel(pool, state, StateSnapshot{}, schedule, rwsets);
   EXPECT_EQ(state.Get(Address(1)), 111);
   EXPECT_EQ(state.Get(Address(2)), 0);  // untouched
 }
@@ -122,7 +124,7 @@ TEST(CommitterTest, LaterGroupsOverwriteEarlier) {
 
   ThreadPool pool(2);
   StateDB state;
-  CommitSchedule(pool, state, schedule, rwsets);
+  ExecuteScheduleParallel(pool, state, StateSnapshot{}, schedule, rwsets);
   EXPECT_EQ(state.Get(Address(7)), 2);
 }
 
@@ -140,7 +142,8 @@ TEST(CommitterTest, LargeConcurrentGroupIsCorrect) {
 
   ThreadPool pool(8);
   StateDB state;
-  const CommitStats stats = CommitSchedule(pool, state, schedule, rwsets);
+  const ParallelExecStats stats =
+      ExecuteScheduleParallel(pool, state, StateSnapshot{}, schedule, rwsets);
   EXPECT_EQ(stats.max_group, kTxs);
   for (std::size_t i = 0; i < kTxs; i += 311) {
     EXPECT_EQ(state.Get(Address(i)), static_cast<StateValue>(i));
@@ -165,8 +168,8 @@ TEST(RuntimeEndToEndTest, NezhaCommitEqualsSerialReplayState) {
   auto schedule = scheduler.BuildSchedule(exec.rwsets);
   ASSERT_TRUE(schedule.ok());
 
-  // Commit through the grouped committer.
-  CommitSchedule(pool, db, *schedule, exec.rwsets);
+  // Commit through the group-parallel executor (the node's commit path).
+  ExecuteScheduleParallel(pool, db, snap, *schedule, exec.rwsets);
 
   // Serial replay of committed txs into an overlay must agree with the
   // committed StateDB on every address the batch wrote.
@@ -205,7 +208,7 @@ TEST(ValidatorTest, DetectsReadAfterWrite) {
   bad.sequence = {1, 2};  // reader AFTER writer: invalid
   bad.aborted = {false, false};
   bad.RebuildGroups();
-  EXPECT_FALSE(ValidateScheduleInvariants(bad, rwsets).ok);
+  EXPECT_FALSE(analysis::VerifySchedule(bad, rwsets).ok);
 }
 
 TEST(ValidatorTest, DetectsWriteWriteCollision) {
@@ -218,7 +221,7 @@ TEST(ValidatorTest, DetectsWriteWriteCollision) {
   bad.sequence = {3, 3};  // same group, same written address
   bad.aborted = {false, false};
   bad.RebuildGroups();
-  EXPECT_FALSE(ValidateScheduleInvariants(bad, rwsets).ok);
+  EXPECT_FALSE(analysis::VerifySchedule(bad, rwsets).ok);
 }
 
 TEST(ValidatorTest, AcceptsValidSchedule) {
@@ -230,7 +233,7 @@ TEST(ValidatorTest, AcceptsValidSchedule) {
   good.sequence = {1, 2};
   good.aborted = {false, false};
   good.RebuildGroups();
-  EXPECT_TRUE(ValidateScheduleInvariants(good, rwsets).ok);
+  EXPECT_TRUE(analysis::VerifySchedule(good, rwsets).ok);
 }
 
 TEST(ValidatorTest, DetectsSizeMismatch) {
@@ -238,7 +241,7 @@ TEST(ValidatorTest, DetectsSizeMismatch) {
   Schedule bad;
   bad.sequence = {1};
   bad.aborted = {false};
-  EXPECT_FALSE(ValidateScheduleInvariants(bad, rwsets).ok);
+  EXPECT_FALSE(analysis::VerifySchedule(bad, rwsets).ok);
 }
 
 TEST(ValidatorTest, ReplayCatchesWrongValue) {
@@ -255,7 +258,7 @@ TEST(ValidatorTest, ReplayCatchesWrongValue) {
   schedule.sequence = {1};
   schedule.aborted = {false};
   schedule.RebuildGroups();
-  EXPECT_FALSE(ValidateByReplay(snap, txs, schedule, rwsets).ok);
+  EXPECT_FALSE(analysis::VerifyByReplay(snap, txs, schedule, rwsets).ok);
 }
 
 }  // namespace

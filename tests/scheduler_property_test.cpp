@@ -24,7 +24,6 @@
 #include "cc/occ/occ_scheduler.h"
 #include "common/thread_pool.h"
 #include "runtime/concurrent_executor.h"
-#include "runtime/serializability.h"
 #include "vm/contract.h"
 #include "vm/logged_state.h"
 #include "workload/kv_workload.h"
@@ -90,8 +89,9 @@ TEST_P(SchedulerPropertyTest, StructurallySerializable) {
   auto scheduler = Make(GetParam().scheme);
   auto schedule = scheduler->BuildSchedule(exec_.rwsets);
   ASSERT_TRUE(schedule.ok());
-  const auto report = ValidateScheduleInvariants(*schedule, exec_.rwsets);
-  EXPECT_TRUE(report.ok) << GetParam().scheme << ": " << report.violation;
+  const auto report = analysis::VerifySchedule(*schedule, exec_.rwsets);
+  EXPECT_TRUE(report.ok) << GetParam().scheme << ": "
+                         << report.counterexample.ToString();
 }
 
 TEST_P(SchedulerPropertyTest, ReplayEquivalentToSerialExecution) {
@@ -99,8 +99,9 @@ TEST_P(SchedulerPropertyTest, ReplayEquivalentToSerialExecution) {
   auto schedule = scheduler->BuildSchedule(exec_.rwsets);
   ASSERT_TRUE(schedule.ok());
   const auto report =
-      ValidateByReplay(snapshot_, txs_, *schedule, exec_.rwsets);
-  EXPECT_TRUE(report.ok) << GetParam().scheme << ": " << report.violation;
+      analysis::VerifyByReplay(snapshot_, txs_, *schedule, exec_.rwsets);
+  EXPECT_TRUE(report.ok) << GetParam().scheme << ": "
+                         << report.counterexample.ToString();
 }
 
 TEST_P(SchedulerPropertyTest, OracleProvesSerializabilityWithWitness) {
@@ -409,9 +410,8 @@ TEST_P(KVWorkloadFuzzTest, AllSchedulersStaySoundOnBlindWrites) {
       auto scheduler = Make(scheme);
       auto schedule = scheduler->BuildSchedule(rwsets);
       ASSERT_TRUE(schedule.ok());
-      const auto report = ValidateScheduleInvariants(*schedule, rwsets);
-      ASSERT_TRUE(report.ok)
-          << scheme << " seed=" << seed << ": " << report.violation;
+      // With the reordered set the oracle also checks the §IV.D landing
+      // rule on top of every structural rule.
       analysis::VerifierOptions options;
       options.reordered = schedule->reordered;
       const auto oracle = analysis::VerifySchedule(*schedule, rwsets, options);

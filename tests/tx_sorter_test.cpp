@@ -6,11 +6,11 @@
 #include <algorithm>
 #include <set>
 
+#include "analysis/schedule_verifier.h"
 #include "cc/nezha/acg.h"
 #include "cc/nezha/rank_division.h"
 #include "cc/nezha/tx_sorter.h"
 #include "obs/abort_attribution.h"
-#include "runtime/serializability.h"
 
 namespace nezha {
 namespace {
@@ -49,8 +49,8 @@ void ExpectSound(const std::vector<ReadWriteSet>& rwsets,
     }
   }
   schedule.RebuildGroups();
-  const auto report = ValidateScheduleInvariants(schedule, rwsets);
-  EXPECT_TRUE(report.ok) << report.violation;
+  const auto report = analysis::VerifySchedule(schedule, rwsets);
+  EXPECT_TRUE(report.ok) << report.counterexample.ToString();
 }
 
 // ---------- the paper's Fig. 7 walkthrough ----------
