@@ -394,7 +394,7 @@ void BM_ProfilerEpochFinish(benchmark::State& state) {
       profiler.RecordTask(sample);
     }
     {
-      obs::ProfileSpan span("bm_finish_span");
+      obs::Stage span("bm_finish_span");
       benchmark::DoNotOptimize(epoch);
     }
     state.ResumeTiming();

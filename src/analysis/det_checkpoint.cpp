@@ -98,6 +98,11 @@ void DetCheckpointRecorder::BeginEpoch(EpochId epoch, std::string_view scheme) {
   open_ = ring_.size() - 1;
 }
 
+void DetCheckpointRecorder::EndEpoch() {
+  MutexLock lock(mutex_);
+  open_ = SIZE_MAX;
+}
+
 void DetCheckpointRecorder::Record(DetStage stage,
                                    std::string_view canonical) {
   if (!enabled()) return;

@@ -109,6 +109,10 @@ class DetCheckpointRecorder {
   /// epoch re-opened under the same (epoch, scheme) key reuses its slot so
   /// multi-phase pipelines accumulate one record per epoch.
   void BeginEpoch(EpochId epoch, std::string_view scheme);
+  /// Closes the open record: Record calls until the next BeginEpoch are
+  /// no-ops, so a schedule built after an epoch cannot overwrite its
+  /// checkpoints.
+  void EndEpoch();
 
   /// Digests `canonical` into the current epoch's `stage` slot. No-op when
   /// disabled or when no epoch is open (e.g. scheduler unit tests building

@@ -8,8 +8,6 @@
 #include "common/canonical_text.h"
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
 
 namespace nezha {
 
@@ -115,10 +113,6 @@ AddressConflictGraph AddressConflictGraph::BuildSharded(
     }
     return Build(rwsets);
   }
-  obs::TraceSpan build_span("acg_build_sharded");
-  // Label for the scatter/merge/fill/edge tasks when the build is driven
-  // directly (benches); under the scheduler it matches the inherited stage.
-  obs::StageScope stage("acg_build");
   const std::size_t shards = num_shards;
   const std::size_t max_chunks = pool.size();
   const auto shard_of = [shards](std::uint64_t a) {
@@ -136,7 +130,6 @@ AddressConflictGraph AddressConflictGraph::BuildSharded(
   pool.ParallelForChunked(
       0, rwsets.size(),
       [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-        obs::TraceSpan span("acg_scatter_chunk");
         for (TxIndex t = static_cast<TxIndex>(lo); t < hi; ++t) {
           const ReadWriteSet& rw = rwsets[t];
           if (!rw.ok) continue;
@@ -155,7 +148,6 @@ AddressConflictGraph AddressConflictGraph::BuildSharded(
   ShardMergeState merge;
   std::vector<std::vector<std::uint64_t>> shard_addrs(shards);
   pool.ParallelFor(0, shards, [&](std::size_t s) {
-    obs::TraceSpan span("acg_shard_merge_" + std::to_string(s));
     std::vector<std::uint64_t>& addrs = shard_addrs[s];
     for (std::size_t c = 0; c < max_chunks; ++c) {
       for (const Unit& u : read_parts[c][s]) addrs.push_back(u.address);
@@ -198,7 +190,6 @@ AddressConflictGraph AddressConflictGraph::BuildSharded(
   // ---- Per-shard RW-set fill: chunk order == ascending TxIndex order, so
   // the lists come out sorted exactly as Build()'s pass 2 leaves them.
   pool.ParallelFor(0, shards, [&](std::size_t s) {
-    obs::TraceSpan span("acg_shard_fill_" + std::to_string(s));
     for (std::size_t c = 0; c < max_chunks; ++c) {
       for (const Unit& u : read_parts[c][s]) {
         acg.entries_[acg.index_.find(u.address)->second].readers.push_back(
@@ -237,7 +228,6 @@ AddressConflictGraph AddressConflictGraph::BuildSharded(
       });
   std::vector<std::vector<std::uint64_t>> shard_edges(shards);
   pool.ParallelFor(0, shards, [&](std::size_t s) {
-    obs::TraceSpan span("acg_shard_edges_" + std::to_string(s));
     std::vector<std::uint64_t>& edges = shard_edges[s];
     for (std::size_t c = 0; c < max_chunks; ++c) {
       edges.insert(edges.end(), edge_parts[c][s].begin(),

@@ -3,30 +3,28 @@
 #include "analysis/det_checkpoint.h"
 #include "cc/nezha/acg.h"
 #include "cc/nezha/rank_division.h"
-#include "common/stopwatch.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
 
 namespace nezha {
 
 Result<Schedule> NezhaScheduler::BuildScheduleImpl(
     std::span<const ReadWriteSet> rwsets) {
   metrics_ = SchedulerMetrics{};
-  Stopwatch watch;
 
+  // Each step is one obs::Stage; its Stop() is the step's metrics time and
+  // the same interval the profile and the Chrome trace show.
   // Step 1: address-based conflict graph (linear in read/write units).
   // With a pool configured, construction is sharded across it — same
   // vertices, subscripts and edges, just built in parallel.
   AddressConflictGraph acg;
   {
-    obs::TraceSpan span("acg_build");
-    obs::ProfileSpan pspan("acg_build");
+    obs::Stage stage("acg_build");
     acg = options_.pool != nullptr
               ? AddressConflictGraph::BuildSharded(rwsets, *options_.pool,
                                                    options_.acg_shards)
               : AddressConflictGraph::Build(rwsets);
+    metrics_.construction_us = stage.Stop();
   }
-  metrics_.construction_us = watch.ElapsedMicros();
   metrics_.graph_vertices = acg.NumAddresses();
   metrics_.graph_edges = acg.NumEdges();
   metrics_.acg_shards = acg.NumShards();
@@ -38,16 +36,14 @@ Result<Schedule> NezhaScheduler::BuildScheduleImpl(
   }
 
   // Step 2: sorting-rank division over the address-dependency graph.
-  watch.Restart();
   std::vector<Digraph::Vertex> ranks;
   obs::RankDecisionStats rank_stats;
   {
-    obs::TraceSpan span("rank_division");
-    obs::ProfileSpan pspan("rank_division");
+    obs::Stage stage("rank_division");
     ranks = ComputeSortingRanks(acg.dependencies(), options_.rank_policy,
                                 &rank_stats);
+    metrics_.cycle_us = stage.Stop();
   }
-  metrics_.cycle_us = watch.ElapsedMicros();
 
   if (det.enabled()) {
     det.Record(analysis::DetStage::kRank,
@@ -55,19 +51,17 @@ Result<Schedule> NezhaScheduler::BuildScheduleImpl(
   }
 
   // Step 3: per-address transaction sorting.
-  watch.Restart();
   TxSorterOptions sorter_options;
   sorter_options.enable_reordering = options_.enable_reordering;
   TxSorterResult sorted;
   {
-    obs::TraceSpan span("tx_sorting");
-    obs::ProfileSpan pspan("tx_sorting");
+    obs::Stage stage("tx_sorting");
     sorted = options_.pool != nullptr
                  ? SortTransactionsParallel(acg, ranks, rwsets.size(),
                                             *options_.pool, sorter_options)
                  : SortTransactions(acg, ranks, rwsets.size(), sorter_options);
+    metrics_.sorting_us = stage.Stop();
   }
-  metrics_.sorting_us = watch.ElapsedMicros();
   metrics_.reordered_txs = sorted.reordered_txs;
   metrics_.sort_clusters = sorted.clusters;
 

@@ -12,7 +12,6 @@
 #include "common/canonical_text.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
 #include "obs/tx_lifecycle.h"
 
 namespace nezha {
@@ -58,7 +57,7 @@ std::string CanonicalWriteBufferEncoding(const ParallelExecStats& stats,
 /// first keeps the chunk partition (and the sharded-lock access pattern)
 /// deterministic for a given pool size.
 void ApplyBuffer(ThreadPool& pool, StateDB& state, const WriteBuffer& buffer) {
-  obs::ProfileSpan pspan("state_apply");
+  obs::Stage stage("state_apply");
   std::vector<std::pair<std::uint64_t, StateValue>> items(buffer.begin(),
                                                           buffer.end());
   std::sort(items.begin(), items.end(),
@@ -93,12 +92,9 @@ ParallelExecStats ExecuteScheduleParallel(ThreadPool& pool, StateDB& state,
                                           std::span<const ReadWriteSet> rwsets,
                                           ParallelExecMode mode,
                                           const TxExecFn& exec) {
-  obs::TraceSpan span(mode == ParallelExecMode::kApplyRecorded
-                          ? "parallel_execute_recorded"
-                          : "parallel_execute_rerun");
   // Stage label for every pool task this executor submits (group items,
   // buffer apply chunks); nests inside the node's "commit" envelope.
-  obs::ProfileSpan pspan("exec_groups");
+  obs::Stage stage("exec_groups");
   ParallelExecStats stats;
   stats.groups = schedule.groups.size();
   WriteBuffer buffer;
@@ -153,7 +149,6 @@ ParallelExecStats ExecuteScheduleParallel(ThreadPool& pool, StateDB& state,
       if (group.size() == 1) {
         run_one(0);  // serial fast path: no dispatch overhead
       } else {
-        obs::TraceSpan group_span("exec_group");
         pool.ParallelFor(0, group.size(), run_one);
       }
       stats.reexecuted_txs += group.size();

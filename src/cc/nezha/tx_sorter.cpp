@@ -7,8 +7,6 @@
 #include <unordered_set>
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
 
 namespace nezha {
 namespace {
@@ -336,10 +334,6 @@ TxSorterResult SortTransactionsParallel(
     }
     return SortTransactions(acg, rank_order, num_txs, options);
   }
-  obs::TraceSpan span("tx_sorting_parallel");
-  // Label for the cluster-sort tasks when this sorter is driven directly
-  // (benches); under the scheduler it refines the inherited "tx_sorting".
-  obs::StageScope stage("tx_sorting");
   SharedSortState st(acg, num_txs);
 
   // ---- Cluster the ACG: union every entry a transaction touches. ----

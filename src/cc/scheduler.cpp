@@ -118,10 +118,10 @@ std::string Str(std::string_view s) { return std::string(s); }
 
 void PublishPhase(obs::MetricsRegistry& registry, const std::string& scheduler,
                   const char* phase, double micros) {
-  const obs::Labels labels = {{"scheduler", scheduler}, {"phase", phase}};
-  registry.GetHistogram("nezha_scheduler_phase_us", labels)->Observe(micros);
-  registry.GetGauge("nezha_scheduler_last_phase_ns", labels)
-      ->Set(static_cast<std::int64_t>(micros * 1000.0));
+  registry
+      .GetHistogram("nezha_scheduler_phase_us",
+                    {{"scheduler", scheduler}, {"phase", phase}})
+      ->Observe(micros);
 }
 
 /// Maps a scheme's generic conflict reason onto the abort taxonomy for
@@ -281,32 +281,6 @@ std::string CanonicalScheduleEncoding(const Schedule& schedule) {
   out += "\n";
   out += CanonicalAbortRecordsEncoding(schedule.attribution.aborts);
   return out;
-}
-
-SchedulerMetrics SchedulerMetricsFromSnapshot(
-    const obs::RegistrySnapshot& snapshot, std::string_view scheduler) {
-  const std::string name = Str(scheduler);
-  const auto phase_us = [&](const char* phase) {
-    const std::string labels = obs::RenderLabels(
-        {{"scheduler", name}, {"phase", phase}});
-    return snapshot.Value("nezha_scheduler_last_phase_ns", labels) / 1000.0;
-  };
-  const std::string labels = obs::RenderLabels({{"scheduler", name}});
-  SchedulerMetrics m;
-  m.construction_us = phase_us("construction");
-  m.cycle_us = phase_us("division");
-  m.sorting_us = phase_us("sorting");
-  m.graph_vertices = static_cast<std::size_t>(
-      snapshot.Value("nezha_scheduler_graph_vertices", labels));
-  m.graph_edges = static_cast<std::size_t>(
-      snapshot.Value("nezha_scheduler_graph_edges", labels));
-  m.cycles_found = static_cast<std::uint64_t>(
-      snapshot.Value("nezha_scheduler_last_cycles", labels));
-  m.resource_exhausted =
-      snapshot.Value("nezha_scheduler_resource_exhausted", labels) != 0;
-  m.reordered_txs = static_cast<std::size_t>(
-      snapshot.Value("nezha_scheduler_last_reordered", labels));
-  return m;
 }
 
 }  // namespace nezha

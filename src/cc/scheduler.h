@@ -95,16 +95,15 @@ struct SchedulerMetrics {
 
 /// Publishes one BuildSchedule outcome into the global metrics registry
 /// (docs/OBSERVABILITY.md), all series labeled scheduler=<name>:
-///   * nezha_scheduler_phase_us{phase=construction|division|sorting} hists
-///     plus nezha_scheduler_last_phase_ns{phase} gauges (last build);
+///   * nezha_scheduler_phase_us{phase=construction|division|sorting} hists;
 ///   * nezha_scheduler_aborts_total{reason=...} — reason="reverted" for
 ///     application-level reverts, `conflict_reason` for scheduler aborts;
 ///   * nezha_scheduler_{txs,committed,builds,reordered,cycles}_total;
 ///   * last-build gauges for graph size, cycles, reorders and exhaustion;
 ///   * the abort-attribution series of obs::PublishAttribution.
-/// Every Scheduler implementation calls this at the end of BuildSchedule,
-/// which makes SchedulerMetrics (and EpochReport.cc_metrics) a thin view
-/// over the registry: SchedulerMetricsFromSnapshot reconstructs it.
+/// Every Scheduler implementation calls this at the end of BuildSchedule.
+/// The series are written from `metrics` and never read back: callers take
+/// SchedulerMetrics from the scheduler itself (EpochReport.cc_metrics).
 ///
 /// Also *completes* schedule.attribution in place: every aborted transaction
 /// without a record gets one — kReverted when its rwset.ok is false,
@@ -116,13 +115,6 @@ void PublishSchedulerObs(std::string_view scheduler,
                          const SchedulerMetrics& metrics, Schedule& schedule,
                          std::span<const ReadWriteSet> rwsets,
                          std::string_view conflict_reason);
-
-/// Rebuilds the most recent build's SchedulerMetrics from a registry
-/// snapshot (inverse of PublishSchedulerObs; timing fields round-trip
-/// through nanosecond gauges, so they match to < 1 ns). acg_shards and
-/// sort_clusters are not published per scheduler and stay 0.
-SchedulerMetrics SchedulerMetricsFromSnapshot(
-    const obs::RegistrySnapshot& snapshot, std::string_view scheduler);
 
 /// Canonical text encoding of a schedule — per-tx sequence/abort, commit
 /// groups, §IV.D reorders, and the abort-decision records. Every scheme's

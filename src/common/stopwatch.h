@@ -1,8 +1,7 @@
-// Wall-clock timing utilities for phase instrumentation.
+// Wall-clock stopwatch for benchmarks and scheduler timings.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace nezha {
 
@@ -23,38 +22,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates elapsed time across multiple timed sections.
-class PhaseTimer {
- public:
-  void Add(double micros) { total_micros_ += micros; ++count_; }
-  void Reset() { total_micros_ = 0; count_ = 0; }
-
-  double TotalMicros() const { return total_micros_; }
-  double TotalMillis() const { return total_micros_ / 1000.0; }
-  std::uint64_t count() const { return count_; }
-  double MeanMicros() const {
-    return count_ == 0 ? 0.0 : total_micros_ / static_cast<double>(count_);
-  }
-
- private:
-  double total_micros_ = 0;
-  std::uint64_t count_ = 0;
-};
-
-/// RAII section timer feeding a PhaseTimer.
-class ScopedPhase {
- public:
-  explicit ScopedPhase(PhaseTimer& timer) : timer_(timer) {}
-  ~ScopedPhase() { timer_.Add(watch_.ElapsedMicros()); }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimer& timer_;
-  Stopwatch watch_;
 };
 
 }  // namespace nezha

@@ -1,7 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <time.h>
-
 #include <algorithm>
 #include <cassert>
 #include <exception>
@@ -14,38 +12,39 @@ namespace {
 /// The pool whose WorkerLoop the current thread is running, if any.
 thread_local const ThreadPool* tls_worker_pool = nullptr;
 
-/// Profiler stamp around work executed on the CALLING thread — the
-/// nested-submission inline fallback and the single-chunk fast paths. The
-/// sample is attributed to the caller's own timeline (tid, current stage)
-/// so profiles don't under-report nested work; enqueue == start (it never
-/// queued). Armed only while an epoch profiling window is open.
-struct InlineStamp {
+/// Profiler stamp around one unit of pool work, queued or inline. Every
+/// clock read is gated on Sampling(), so outside an epoch window a task
+/// reads no clock. Inline work (the nested-submission fallback, the
+/// single-chunk fast paths, serial commit groups) runs on the calling
+/// thread and never queued: its enqueue time is its start.
+struct TaskStamp {
   bool armed = false;
+  bool inlined = true;
+  double enqueue_us = -1;  ///< set at Submit while sampling; < 0 otherwise
   double start_us = 0;
   double cpu_start_us = 0;
+
+  void Begin() {
+    if (!obs::Profiler().Sampling()) return;
+    armed = true;
+    cpu_start_us = obs::ThreadCpuUs();
+    start_us = obs::PhaseTracer::NowUs();
+    if (enqueue_us < 0) enqueue_us = start_us;
+  }
+
+  void Finish(obs::StageId stage) {
+    if (!armed) return;
+    obs::TaskSample sample;
+    sample.stage = stage;
+    sample.tid = obs::CurrentThreadId();
+    sample.enqueue_us = enqueue_us;
+    sample.start_us = start_us;
+    sample.finish_us = obs::PhaseTracer::NowUs();
+    sample.cpu_us = obs::ThreadCpuUs() - cpu_start_us;
+    sample.inlined = inlined;
+    obs::Profiler().RecordTask(sample);
+  }
 };
-
-InlineStamp BeginInline() {
-  InlineStamp stamp;
-  if (!obs::Profiler().Sampling()) return stamp;
-  stamp.armed = true;
-  stamp.cpu_start_us = obs::ThreadCpuUs();
-  stamp.start_us = obs::PhaseTracer::NowUs();
-  return stamp;
-}
-
-void FinishInline(const InlineStamp& stamp) {
-  if (!stamp.armed) return;
-  obs::TaskSample sample;
-  sample.stage = obs::CurrentStage();
-  sample.tid = obs::CurrentThreadId();
-  sample.enqueue_us = stamp.start_us;
-  sample.start_us = stamp.start_us;
-  sample.finish_us = obs::PhaseTracer::NowUs();
-  sample.cpu_us = obs::ThreadCpuUs() - stamp.cpu_start_us;
-  sample.inlined = true;
-  obs::Profiler().RecordTask(sample);
-}
 
 }  // namespace
 
@@ -53,11 +52,8 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   auto& registry = obs::Registry();
   queue_depth_ = registry.GetGauge("nezha_threadpool_queue_depth");
   tasks_total_ = registry.GetCounter("nezha_threadpool_tasks_total");
-  busy_us_total_ = registry.GetCounter("nezha_threadpool_busy_us_total");
   inline_fallbacks_total_ =
       registry.GetCounter("nezha_threadpool_inline_fallbacks_total");
-  task_wait_us_ = registry.GetHistogram("nezha_threadpool_task_wait_us");
-  task_run_us_ = registry.GetHistogram("nezha_threadpool_task_run_us");
 
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -86,52 +82,28 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  const double enqueue_us = obs::PhaseTracer::NowUs();
   const obs::StageId stage = obs::CurrentStage();
-  // Profiler stamps (per-worker timelines, docs/OBSERVABILITY.md) wrap the
-  // user's function INSIDE the packaged task: the sample must be recorded
-  // before the task's future becomes ready, or a driver thread that joins
-  // a ParallelFor and immediately closes the profiling window races the
-  // final sample away — and the last task to finish is the straggler, the
-  // one sample the epoch profile cannot afford to lose. One Sampling()
-  // load decides whether the task pays for any clock reads; the
-  // thread-CPU reads stay inline (not routed through obs) so the whole
-  // stamp cost is visible — and allowlisted — right here.
-  auto run = [this, task = std::move(task), enqueue_us, stage]() {
-    const bool sampling = obs::Profiler().Sampling();
-    struct timespec cpu_begin {};
-    if (sampling) clock_gettime(CLOCK_THREAD_CPUTIME_ID, &cpu_begin);
-    const double start_us = obs::PhaseTracer::NowUs();
-    task_wait_us_->Observe(start_us - enqueue_us);
+  TaskStamp stamp;
+  stamp.inlined = false;
+  if (obs::Profiler().Sampling()) stamp.enqueue_us = obs::PhaseTracer::NowUs();
+  // The profiler stamp (per-worker timelines, docs/OBSERVABILITY.md) wraps
+  // the user's function INSIDE the packaged task: the sample must be
+  // recorded before the task's future becomes ready, or a driver thread
+  // that joins a ParallelFor and immediately closes the profiling window
+  // races the final sample away — and the last task to finish is the
+  // straggler, the one sample the epoch profile cannot afford to lose.
+  auto run = [task = std::move(task), stamp, stage]() mutable {
+    stamp.Begin();
+    // Re-enter the submitter's stage so nested submissions inherit it.
+    const obs::StageId previous = obs::SetCurrentStage(stage);
     std::exception_ptr error;
-    {
-      // Re-enter the submitter's stage so nested submissions inherit it
-      // and the sample below lands on the right stage.
-      obs::StageScope scope(stage);
-      try {
-        task();
-      } catch (...) {
-        error = std::current_exception();
-      }
+    try {
+      task();
+    } catch (...) {
+      error = std::current_exception();
     }
-    const double finish_us = obs::PhaseTracer::NowUs();
-    const double run_us = finish_us - start_us;
-    task_run_us_->Observe(run_us);
-    busy_us_total_->Inc(static_cast<std::uint64_t>(run_us));
-    if (sampling) {
-      struct timespec cpu_end {};
-      clock_gettime(CLOCK_THREAD_CPUTIME_ID, &cpu_end);
-      obs::TaskSample sample;
-      sample.stage = stage;
-      sample.tid = obs::CurrentThreadId();
-      sample.enqueue_us = enqueue_us;
-      sample.start_us = start_us;
-      sample.finish_us = finish_us;
-      sample.cpu_us =
-          (static_cast<double>(cpu_end.tv_sec - cpu_begin.tv_sec)) * 1e6 +
-          (static_cast<double>(cpu_end.tv_nsec - cpu_begin.tv_nsec)) * 1e-3;
-      obs::Profiler().RecordTask(sample);
-    }
+    obs::SetCurrentStage(previous);
+    stamp.Finish(stage);
     // Rethrow inside the packaged task so the caller's future still
     // carries the user task's exception.
     if (error) std::rethrow_exception(error);
@@ -166,8 +138,8 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     queue_depth_->Add(-1);
-    // All metric/profiler stamping lives inside the packaged task (see
-    // Submit); user exceptions are captured in its future.
+    // The profiler stamp lives inside the packaged task (see Submit); user
+    // exceptions are captured in its future.
     queued.task();
   }
 }
@@ -184,22 +156,18 @@ void ThreadPool::ParallelForChunked(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
-  if (OnWorkerThread()) {
-    // Nested submission from a worker would block this worker on futures
-    // only the (possibly fully blocked) pool can complete; run inline,
-    // stamped so the runtime lands on this worker's timeline.
-    inline_fallbacks_total_->Inc();
-    const InlineStamp stamp = BeginInline();
-    fn(begin, end, 0);
-    FinishInline(stamp);
-    return;
-  }
+  // Nested submission from a worker would block this worker on futures
+  // only the (possibly fully blocked) pool can complete; run inline,
+  // stamped so the runtime lands on this worker's timeline.
+  const bool nested = OnWorkerThread();
+  if (nested) inline_fallbacks_total_->Inc();
   const std::size_t total = end - begin;
   const std::size_t num_chunks = std::min(total, workers_.size());
-  if (num_chunks <= 1) {
-    const InlineStamp stamp = BeginInline();
+  if (nested || num_chunks <= 1) {
+    TaskStamp stamp;
+    stamp.Begin();
     fn(begin, end, 0);
-    FinishInline(stamp);
+    stamp.Finish(obs::CurrentStage());
     return;
   }
   const std::size_t chunk = (total + num_chunks - 1) / num_chunks;
@@ -233,24 +201,24 @@ void ThreadPool::ParallelForGroups(
   // caller; consecutive ones coalesce into ONE profiler sample so a commit
   // schedule of thousands of singleton groups costs four clock reads per
   // run of singletons, not per group.
-  InlineStamp serial_stamp;
+  TaskStamp serial_stamp;
   for (std::size_t g = 0; g < group_sizes.size(); ++g) {
     const std::size_t n = group_sizes[g];
     if (n == 0) continue;
     if (inline_only || n == 1 || workers_.size() <= 1) {
-      if (!serial_stamp.armed) serial_stamp = BeginInline();
+      if (!serial_stamp.armed) serial_stamp.Begin();
       for (std::size_t i = 0; i < n; ++i) fn(g, i);
       continue;
     }
     if (serial_stamp.armed) {
-      FinishInline(serial_stamp);
-      serial_stamp = InlineStamp{};
+      serial_stamp.Finish(obs::CurrentStage());
+      serial_stamp = TaskStamp{};
     }
     // ParallelFor is the barrier: every item of group g completes (or its
     // first exception is rethrown, abandoning later groups) before g+1.
     ParallelFor(0, n, [&fn, g](std::size_t i) { fn(g, i); });
   }
-  FinishInline(serial_stamp);
+  serial_stamp.Finish(obs::CurrentStage());
 }
 
 }  // namespace nezha

@@ -75,11 +75,11 @@ class ThreadPool {
 
  private:
   /// The queued unit is a packaged task whose closure already carries the
-  /// submit-time context (enqueue timestamp, submitter's pipeline stage)
-  /// and performs its own profiler stamping — the sample is recorded
-  /// before the task's future becomes ready, so a driver that joins a
-  /// ParallelFor and immediately closes the profiling window still sees
-  /// every sample (see Submit).
+  /// submit-time context (submitter's pipeline stage, and the enqueue
+  /// timestamp while the profiler samples) and performs its own stamping —
+  /// the sample is recorded before the task's future becomes ready, so a
+  /// driver that joins a ParallelFor and immediately closes the profiling
+  /// window still sees every sample (see Submit).
   struct QueuedTask {
     std::packaged_task<void()> task;
   };
@@ -97,10 +97,7 @@ class ThreadPool {
   // (docs/OBSERVABILITY.md). Pointers are registry-owned and stable.
   obs::Gauge* queue_depth_;
   obs::Counter* tasks_total_;
-  obs::Counter* busy_us_total_;
   obs::Counter* inline_fallbacks_total_;
-  obs::BucketHistogram* task_wait_us_;
-  obs::BucketHistogram* task_run_us_;
 };
 
 }  // namespace nezha

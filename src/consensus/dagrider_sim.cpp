@@ -257,6 +257,7 @@ void DagRiderSimulation::Run() {
       canonical += '\n';
     }
     det.Record(analysis::DetStage::kConsensus, canonical);
+    det.EndEpoch();
   }
 
   auto& registry = obs::Registry();

@@ -262,6 +262,7 @@ void OhieSimulation::Run() {
       canonical += '\n';
     }
     det.Record(analysis::DetStage::kConsensus, canonical);
+    det.EndEpoch();
   }
 
   auto& registry = obs::Registry();

@@ -232,6 +232,7 @@ void TreeGraphSimulation::Run() {
       }
     }
     det.Record(analysis::DetStage::kConsensus, canonical);
+    det.EndEpoch();
   }
 
   std::size_t total_blocks = 0;

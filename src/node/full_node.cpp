@@ -14,13 +14,11 @@
 #include "cc/occ/occ_scheduler.h"
 #include "cc/serial/serial_scheduler.h"
 #include "common/canonical_text.h"
-#include "common/stopwatch.h"
 #include "fault/fault.h"
 #include "node/commit_journal.h"
 #include "obs/abort_attribution.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "obs/tx_lifecycle.h"
 #include "runtime/concurrent_executor.h"
 #include "vm/logged_state.h"
@@ -86,19 +84,55 @@ FullNode::FullNode(const NodeConfig& config, KVStore* kv)
 
 namespace {
 
-/// Opens lifecycle tracking for one epoch batch: keys every transaction,
-/// claims its mempool ingress stamps, and stamps kConfirmed (the batch
-/// reaching the pipeline IS the epoch's DAG confirmation — SealEpoch
-/// happened just before ProcessEpoch).
-void BeginLifecycleEpoch(const NodeConfig& config, const EpochBatch& batch) {
-  obs::TxLifecycleTracer& lifecycle = obs::Lifecycle();
-  if (!lifecycle.enabled()) return;
-  std::vector<std::uint64_t> keys;
-  keys.reserve(batch.txs.size());
-  for (const Transaction& tx : batch.txs) keys.push_back(LifecycleKey(tx));
-  lifecycle.BeginEpoch(batch.epoch, SchemeName(config.scheme), keys);
-  lifecycle.StampAll(obs::TxStage::kConfirmed);
-}
+/// One epoch's recorders, opened in one place and closed in one place on
+/// every return path of ProcessEpoch: the flight-recorder label, the
+/// determinism-checkpoint epoch, the transaction-lifecycle epoch and the
+/// profiler window. Close(&report) hands a completed epoch's latency
+/// summary and profile to its report; an epoch that fails is closed by the
+/// destructor, which discards its windows so it publishes nothing.
+class EpochRecorders {
+ public:
+  EpochRecorders(const NodeConfig& config, const EpochBatch& batch,
+                 std::size_t workers) {
+    const char* scheme = SchemeName(config.scheme);
+    obs::FlightRecorder::Global().SetCurrentEpoch(batch.epoch);
+    analysis::DetCheckpointRecorder::Global().BeginEpoch(batch.epoch, scheme);
+    // Lifecycle: key every transaction, claim its mempool ingress stamps,
+    // and stamp kConfirmed (the batch reaching the pipeline IS the epoch's
+    // DAG confirmation — SealEpoch happened just before ProcessEpoch).
+    if (obs::TxLifecycleTracer& lifecycle = obs::Lifecycle();
+        lifecycle.enabled()) {
+      std::vector<std::uint64_t> keys;
+      keys.reserve(batch.txs.size());
+      for (const Transaction& tx : batch.txs) keys.push_back(LifecycleKey(tx));
+      lifecycle.BeginEpoch(batch.epoch, scheme, keys);
+      lifecycle.StampAll(obs::TxStage::kConfirmed);
+    }
+    obs::Profiler().BeginEpoch(batch.epoch, scheme, workers);
+  }
+  ~EpochRecorders() { Close(nullptr); }
+
+  EpochRecorders(const EpochRecorders&) = delete;
+  EpochRecorders& operator=(const EpochRecorders&) = delete;
+
+  /// Closes the checkpoint epoch, the lifecycle epoch and the profiler
+  /// window (once). `report` is null for an epoch that failed.
+  void Close(EpochReport* report) {
+    if (closed_) return;
+    closed_ = true;
+    analysis::DetCheckpointRecorder::Global().EndEpoch();
+    if (report == nullptr) {
+      obs::Lifecycle().DiscardEpoch();
+      obs::Profiler().DiscardEpoch();
+      return;
+    }
+    report->latency = obs::Lifecycle().FinishEpoch();
+    report->profile = obs::Profiler().FinishEpoch();
+  }
+
+ private:
+  bool closed_ = false;
+};
 
 /// Mirrors one finished EpochReport into the global metrics registry so
 /// dashboards see what the report structs see (docs/OBSERVABILITY.md).
@@ -270,26 +304,17 @@ void ExecuteSerially(StateDB& state, const EpochBatch& batch, ExecMode mode,
 
 Result<EpochReport> FullNode::ProcessEpoch(const EpochBatch& batch) {
   const bool serial = config_.scheme == SchemeKind::kSerial;
-  const char* scheme = SchemeName(config_.scheme);
-  obs::FlightRecorder::Global().SetCurrentEpoch(batch.epoch);
-  if (analysis::DetCheckpointRecorder& det =
-          analysis::DetCheckpointRecorder::Global();
-      det.enabled()) {
-    det.BeginEpoch(batch.epoch, scheme);
-  }
-  BeginLifecycleEpoch(config_, batch);
-  obs::Profiler().BeginEpoch(batch.epoch, scheme, pool_->size());
-  obs::TraceSpan epoch_span("epoch " + std::to_string(batch.epoch));
+  EpochRecorders recorders(config_, batch, pool_->size());
   EpochReport report;
   report.epoch = batch.epoch;
   report.block_concurrency = batch.BlockConcurrency();
   report.txs = batch.TxCount();
 
+  // Each phase is one obs::Stage: its Stop() is the report's phase time and
+  // the same interval the profile and the Chrome trace show.
   // ---- Phase 1: validation ----
-  Stopwatch watch;
   {
-    obs::TraceSpan span("validate");
-    obs::ProfileSpan pspan("validate");
+    obs::Stage stage("validate");
     for (const Block& block : batch.blocks) {
       // Blocks already appended to the ledger were validated on the way in;
       // re-check the semantic parts that depend on the current state.
@@ -301,8 +326,8 @@ Result<EpochReport> FullNode::ProcessEpoch(const EpochBatch& batch) {
         return Status::InvalidArgument("block tx merkle root mismatch");
       }
     }
+    report.validate_ms = stage.Stop() / 1000.0;
   }
-  report.validate_ms = watch.ElapsedMillis();
 
   StateSnapshot snapshot;
   BatchExecutionResult exec;
@@ -310,32 +335,27 @@ Result<EpochReport> FullNode::ProcessEpoch(const EpochBatch& batch) {
   std::vector<Receipt> receipts;  // none for Serial: no aborts to attest
   if (!serial) {
     // ---- Phase 2: concurrent speculative execution ----
-    watch.Restart();
-    snapshot = state_.MakeSnapshot(batch.epoch);
     {
-      obs::TraceSpan span("execute");
-      obs::ProfileSpan pspan("execute");
+      obs::Stage stage("execute");
+      snapshot = state_.MakeSnapshot(batch.epoch);
       exec = ExecuteBatchConcurrent(*pool_, snapshot, batch.txs,
                                     config_.exec_mode);
+      report.execute_ms = stage.Stop() / 1000.0;
     }
-    report.execute_ms = watch.ElapsedMillis();
     if (config_.model_execution_cost) {
       report.execute_ms =
           config_.cost_model.ConcurrentExecuteLatencyMs(batch.TxCount());
     }
 
     // ---- Phase 3: concurrency control ----
-    watch.Restart();
-    Result<Schedule> built = Schedule{};
     {
-      obs::TraceSpan span("cc");
-      obs::ProfileSpan pspan("cc");
-      built = scheduler_->BuildSchedule(exec.rwsets);
+      obs::Stage stage("cc");
+      Result<Schedule> built = scheduler_->BuildSchedule(exec.rwsets);
+      if (!built.ok()) return built.status();
+      report.cc_ms = stage.Stop() / 1000.0;
+      schedule = std::move(built.value());
     }
-    if (!built.ok()) return built.status();
-    report.cc_ms = watch.ElapsedMillis();
     report.cc_metrics = scheduler_->metrics();
-    schedule = std::move(built.value());
     // Receipts are a pure function of the batch, the rwsets and the
     // schedule; the commit phase flushes them in the same atomic batch as
     // the state.
@@ -344,11 +364,9 @@ Result<EpochReport> FullNode::ProcessEpoch(const EpochBatch& batch) {
   }
 
   // ---- Phase 4: commitment ----
-  watch.Restart();
   ParallelExecStats group_stats;
   {
-    obs::TraceSpan span("commit");
-    obs::ProfileSpan pspan(serial ? "serial_execute_commit" : "commit");
+    obs::Stage stage(serial ? "serial_execute_commit" : "commit");
     if (serial) {
       ExecuteSerially(state_, batch, config_.exec_mode, report);
     } else {
@@ -367,14 +385,13 @@ Result<EpochReport> FullNode::ProcessEpoch(const EpochBatch& batch) {
       return s;
     }
     obs::Lifecycle().StampAll(obs::TxStage::kCommitted);
+    report.commit_ms = stage.Stop() / 1000.0;
   }
-  report.commit_ms = watch.ElapsedMillis();
   if (serial && config_.model_execution_cost) {
     report.commit_ms = 0;
     report.execute_ms = config_.cost_model.SerialLatencyMs(batch.TxCount());
   }
-  report.latency = obs::Lifecycle().FinishEpoch();
-  report.profile = obs::Profiler().FinishEpoch();
+  recorders.Close(&report);
 
   PublishEpochObs(config_, report);
   RecordEpochFlight(config_, report, batch.blocks.size(),
@@ -386,7 +403,7 @@ Result<EpochReport> FullNode::ProcessEpoch(const EpochBatch& batch) {
 Status FullNode::CommitEpochDurable(const EpochBatch& batch,
                                     EpochReport& report,
                                     std::span<const Receipt> receipts) {
-  obs::ProfileSpan pspan("durable_commit");
+  obs::Stage stage("durable_commit");
   if (const fault::Hit hit = fault::Check(fault::sites::kCommitBeforeJournal);
       hit.fired()) {
     if (hit.action == fault::Action::kCrash) {

@@ -5,9 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -15,61 +13,6 @@
 
 namespace nezha::obs {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Allocation counting.
-//
-// The global operator new/delete overrides below route every allocation in
-// the process through one relaxed counter so ProfileSpan can report
-// allocation-count deltas per pipeline stage. Under ASan/TSan the sanitizer
-// runtime owns operator new (replacing it would bypass its bookkeeping), so
-// the override is compiled out and AllocationCount() stays at zero — tests
-// that assert on allocation deltas skip themselves there.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define NEZHA_PROFILER_COUNT_ALLOCS 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define NEZHA_PROFILER_COUNT_ALLOCS 0
-#else
-#define NEZHA_PROFILER_COUNT_ALLOCS 1
-#endif
-#else
-#define NEZHA_PROFILER_COUNT_ALLOCS 1
-#endif
-
-// Constant-initialized: operator new runs before any static constructor.
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-#if NEZHA_PROFILER_COUNT_ALLOCS
-void* CountedAlloc(std::size_t size) {
-  if (size == 0) size = 1;
-  for (;;) {
-    void* p = std::malloc(size);
-    if (p != nullptr) {
-      g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-      return p;
-    }
-    std::new_handler handler = std::get_new_handler();
-    if (handler == nullptr) throw std::bad_alloc();
-    handler();
-  }
-}
-
-void* CountedAlignedAlloc(std::size_t size, std::size_t alignment) {
-  if (size == 0) size = 1;
-  for (;;) {
-    void* p = nullptr;
-    if (posix_memalign(&p, std::max(alignment, sizeof(void*)), size) == 0) {
-      g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-      return p;
-    }
-    std::new_handler handler = std::get_new_handler();
-    if (handler == nullptr) throw std::bad_alloc();
-    handler();
-  }
-}
-#endif  // NEZHA_PROFILER_COUNT_ALLOCS
 
 // ---------------------------------------------------------------------------
 // Stage interning. The table is append-only and bounded; call sites intern
@@ -92,7 +35,7 @@ StageTable& Stages() {
 }
 
 thread_local StageId t_current_stage = kStageNone;
-thread_local std::uint32_t t_profile_depth = 0;
+thread_local std::uint32_t t_stage_depth = 0;
 
 std::string FormatNum(double v) {
   char buf[64];
@@ -145,118 +88,108 @@ const std::vector<double>& EfficiencyBounds() {
 constexpr std::size_t kMaxCounterPoints = 512;
 
 void EmitCounterTrack(PhaseTracer& tracer, std::string_view track,
-                      const std::vector<std::pair<double, int>>& deltas) {
-  if (deltas.empty()) return;
+                      std::vector<std::pair<double, int>>& deltas) {
+  std::sort(deltas.begin(), deltas.end());
   const std::size_t stride = std::max<std::size_t>(
       1, (deltas.size() + kMaxCounterPoints - 1) / kMaxCounterPoints);
   long level = 0;
   for (std::size_t i = 0; i < deltas.size(); ++i) {
     level += deltas[i].second;
     if (i % stride == 0 || i + 1 == deltas.size()) {
-      tracer.RecordCounter(track, deltas[i].first,
-                           static_cast<double>(level));
+      TraceEvent event;
+      event.name = std::string(track);
+      event.tid = CurrentThreadId();
+      event.ts_us = deltas[i].first;
+      event.counter = true;
+      event.value = static_cast<double>(level);
+      tracer.Record(std::move(event));
     }
   }
 }
 
+/// Emits the nezha_pool_* / nezha_profile_* series for one finished epoch.
+void PublishProfile(const EpochProfile& profile,
+                    const std::vector<TaskSample>& samples) {
+  if (!MetricsEnabled()) return;
+  MetricsRegistry& reg = Registry();
+  for (const StageProfile& sp : profile.stages) {
+    const Labels labels = {{"stage", sp.stage}};
+    reg.GetCounter("nezha_profile_stage_cpu_us_total", labels)
+        ->Inc(static_cast<std::uint64_t>(sp.cpu_ms * 1000.0));
+    reg.GetCounter("nezha_profile_stage_busy_us_total", labels)
+        ->Inc(static_cast<std::uint64_t>(sp.busy_ms * 1000.0));
+    reg.GetCounter("nezha_profile_stage_wall_us_total", labels)
+        ->Inc(static_cast<std::uint64_t>(sp.wall_ms * 1000.0));
+    reg.GetCounter("nezha_profile_stage_tasks_total", labels)->Inc(sp.tasks);
+  }
+  std::vector<double> waits;
+  waits.reserve(samples.size());
+  double task_cpu_us = 0;
+  for (const TaskSample& s : samples) {
+    waits.push_back(s.start_us - s.enqueue_us);
+    task_cpu_us += s.cpu_us;
+  }
+  reg.GetHistogram("nezha_pool_task_wait_profile_us", {},
+                   DefaultLatencyBoundsUs())
+      ->ObserveMany(waits);
+  reg.GetCounter("nezha_pool_task_cpu_us_total")
+      ->Inc(static_cast<std::uint64_t>(task_cpu_us));
+  reg.GetHistogram("nezha_profile_efficiency_pct", {}, EfficiencyBounds())
+      ->Observe(profile.efficiency_pct);
+  reg.GetHistogram("nezha_profile_idle_gap_us", {}, DefaultLatencyBoundsUs())
+      ->Observe(profile.largest_idle_gap_ms * 1000.0);
+  reg.GetGauge("nezha_profile_peak_rss_kb")
+      ->Set(static_cast<std::int64_t>(profile.peak_rss_kb));
+  reg.GetCounter("nezha_profile_dropped_samples_total")
+      ->Inc(profile.dropped_samples);
+  reg.GetCounter("nezha_profile_epochs_total")->Inc();
+}
+
+/// Projects one closed window into the Chrome trace: the "epoch <n>"
+/// envelope on the finishing thread, every stage span one level below it
+/// at its nesting depth, one event per task sample on the row of the
+/// thread that ran it, and the pool occupancy / queue-depth counter tracks
+/// rebuilt from the same stamps.
+void ProjectTrace(const EpochProfile& profile,
+                  const std::vector<TaskSample>& samples, double begin_us,
+                  double end_us) {
+  PhaseTracer& tracer = PhaseTracer::Global();
+  const auto record = [&tracer](std::string name, std::uint32_t tid,
+                                std::uint32_t depth, double start_us,
+                                double finish_us) {
+    TraceEvent event;
+    event.name = std::move(name);
+    event.tid = tid;
+    event.depth = depth;
+    event.ts_us = start_us;
+    event.dur_us = finish_us - start_us;
+    tracer.Record(std::move(event));
+  };
+  record("epoch " + std::to_string(profile.epoch), CurrentThreadId(), 0,
+         begin_us, end_us);
+  for (const StageSpan& s : profile.spans) {
+    record(std::string(StageName(s.stage)), s.tid, s.depth + 1, s.start_us,
+           s.end_us);
+  }
+  std::vector<std::pair<double, int>> busy;
+  std::vector<std::pair<double, int>> queued;
+  busy.reserve(samples.size() * 2);
+  queued.reserve(samples.size() * 2);
+  for (const TaskSample& s : samples) {
+    record(std::string(StageName(s.stage)), s.tid, 0, s.start_us,
+           s.finish_us);
+    busy.emplace_back(s.start_us, +1);
+    busy.emplace_back(s.finish_us, -1);
+    if (!s.inlined) {
+      queued.emplace_back(s.enqueue_us, +1);
+      queued.emplace_back(s.start_us, -1);
+    }
+  }
+  EmitCounterTrack(tracer, "pool_busy_workers", busy);
+  EmitCounterTrack(tracer, "pool_queued_tasks", queued);
+}
+
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Global operator new/delete. Out-of-line, non-inlined definitions replace
-// the libstdc++ defaults program-wide; every other behaviour (nothrow,
-// aligned, sized delete) matches the standard ones.
-
-#if NEZHA_PROFILER_COUNT_ALLOCS
-#define NEZHA_PROFILER_ALLOCS_ACTIVE_ 1
-#else
-#define NEZHA_PROFILER_ALLOCS_ACTIVE_ 0
-#endif
-
-std::uint64_t AllocationCount() {
-  return g_alloc_count.load(std::memory_order_relaxed);
-}
-
-}  // namespace nezha::obs
-
-#if NEZHA_PROFILER_ALLOCS_ACTIVE_
-
-void* operator new(std::size_t size) {
-  return nezha::obs::CountedAlloc(size);
-}
-void* operator new[](std::size_t size) {
-  return nezha::obs::CountedAlloc(size);
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  try {
-    return nezha::obs::CountedAlloc(size);
-  } catch (...) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  try {
-    return nezha::obs::CountedAlloc(size);
-  } catch (...) {
-    return nullptr;
-  }
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  return nezha::obs::CountedAlignedAlloc(size,
-                                         static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return nezha::obs::CountedAlignedAlloc(size,
-                                         static_cast<std::size_t>(align));
-}
-void* operator new(std::size_t size, std::align_val_t align,
-                   const std::nothrow_t&) noexcept {
-  try {
-    return nezha::obs::CountedAlignedAlloc(size,
-                                           static_cast<std::size_t>(align));
-  } catch (...) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t size, std::align_val_t align,
-                     const std::nothrow_t&) noexcept {
-  try {
-    return nezha::obs::CountedAlignedAlloc(size,
-                                           static_cast<std::size_t>(align));
-  } catch (...) {
-    return nullptr;
-  }
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t,
-                     const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
-#endif  // NEZHA_PROFILER_ALLOCS_ACTIVE_
-
-namespace nezha::obs {
 
 // ---------------------------------------------------------------------------
 // Stage interning.
@@ -283,17 +216,14 @@ std::string_view StageName(StageId id) {
 
 StageId CurrentStage() { return t_current_stage; }
 
-StageScope::StageScope(std::string_view name)
-    : StageScope(InternStage(name)) {}
-
-StageScope::StageScope(StageId id) : previous_(t_current_stage) {
+StageId SetCurrentStage(StageId id) {
+  const StageId previous = t_current_stage;
   t_current_stage = id;
+  return previous;
 }
 
-StageScope::~StageScope() { t_current_stage = previous_; }
-
 // ---------------------------------------------------------------------------
-// ProfileSpan.
+// Stage.
 
 double ThreadCpuUs() {
   struct timespec ts;
@@ -303,30 +233,33 @@ double ThreadCpuUs() {
          static_cast<double>(ts.tv_nsec) * 1e-3;
 }
 
-ProfileSpan::ProfileSpan(std::string_view name)
-    : stage_(InternStage(name)), previous_stage_(t_current_stage) {
-  t_current_stage = stage_;
-  if (!Profiler().Sampling()) return;
-  armed_ = true;
-  depth_ = t_profile_depth++;
-  allocs_start_ = AllocationCount();
-  cpu_start_us_ = ThreadCpuUs();
+Stage::Stage(std::string_view name)
+    : stage_(InternStage(name)),
+      previous_stage_(SetCurrentStage(stage_)),
+      depth_(t_stage_depth++),
+      sampled_(Profiler().Sampling()) {
+  if (sampled_) cpu_start_us_ = ThreadCpuUs();
   start_us_ = PhaseTracer::NowUs();
 }
 
-ProfileSpan::~ProfileSpan() {
+double Stage::Stop() {
+  if (stopped_) return elapsed_us_;
+  const double end_us = PhaseTracer::NowUs();
+  stopped_ = true;
+  elapsed_us_ = end_us - start_us_;
   t_current_stage = previous_stage_;
-  if (!armed_) return;
-  --t_profile_depth;
-  StageSpan span;
-  span.stage = stage_;
-  span.tid = CurrentThreadId();
-  span.start_us = start_us_;
-  span.end_us = PhaseTracer::NowUs();
-  span.cpu_us = ThreadCpuUs() - cpu_start_us_;
-  span.allocs = AllocationCount() - allocs_start_;
-  span.depth = depth_;
-  Profiler().RecordSpan(span);
+  --t_stage_depth;
+  if (sampled_) {
+    StageSpan span;
+    span.stage = stage_;
+    span.tid = CurrentThreadId();
+    span.start_us = start_us_;
+    span.end_us = end_us;
+    span.cpu_us = ThreadCpuUs() - cpu_start_us_;
+    span.depth = depth_;
+    Profiler().RecordSpan(span);
+  }
+  return elapsed_us_;
 }
 
 // ---------------------------------------------------------------------------
@@ -364,7 +297,6 @@ std::string EpochProfile::ToJson() const {
         << ",\"wait_p50_us\":" << FormatNum(s.wait_p50_us)
         << ",\"wait_p95_us\":" << FormatNum(s.wait_p95_us)
         << ",\"wait_max_us\":" << FormatNum(s.wait_max_us)
-        << ",\"allocs\":" << s.allocs
         << ",\"efficiency_pct\":" << FormatNum(s.efficiency_pct) << "}";
   }
   out << "],\"critical_path\":[";
@@ -511,12 +443,14 @@ EpochProfile PipelineProfiler::FinishEpoch() {
 
   EpochProfile profile;
   std::vector<TaskSample> samples;
+  double begin_us = 0;
   {
     MutexLock lock(epoch_mutex_);
     profile.epoch = epoch_;
     profile.scheme = scheme_;
     profile.workers = workers_;
-    profile.span_ms = (end_us - begin_us_) / 1000.0;
+    begin_us = begin_us_;
+    profile.span_ms = (end_us - begin_us) / 1000.0;
     profile.spans = spans_;
   }
   for (Stripe& stripe : stripes_) {
@@ -540,7 +474,6 @@ EpochProfile PipelineProfiler::FinishEpoch() {
     double task_cpu_us = 0;
     double span_cpu_us = 0;
     double span_wall_us = 0;
-    std::uint64_t allocs = 0;
     double min_start = 0;
     double max_finish = 0;
     std::vector<double> waits;
@@ -576,7 +509,6 @@ EpochProfile PipelineProfiler::FinishEpoch() {
     // but call sites don't nest a stage within itself.
     acc.span_wall_us += s.end_us - s.start_us;
     acc.span_cpu_us += s.cpu_us;
-    acc.allocs += s.allocs;
     cpu_us_total += s.cpu_us;
   }
 
@@ -589,7 +521,7 @@ EpochProfile PipelineProfiler::FinishEpoch() {
     sp.stage = std::string(StageName(static_cast<StageId>(id)));
     sp.tasks = acc.tasks;
     sp.inline_tasks = acc.inline_tasks;
-    // Stage wall: the ProfileSpan interval when one exists (authoritative —
+    // Stage wall: the Stage span interval when one exists (authoritative —
     // covers serial driver work too), else the union extent of its tasks.
     sp.wall_ms = acc.span_wall_us > 0
                      ? acc.span_wall_us / 1000.0
@@ -598,7 +530,6 @@ EpochProfile PipelineProfiler::FinishEpoch() {
                             : 0);
     sp.busy_ms = acc.busy_us / 1000.0;
     sp.cpu_ms = (acc.task_cpu_us + acc.span_cpu_us) / 1000.0;
-    sp.allocs = acc.allocs;
     if (!acc.waits.empty()) {
       std::sort(acc.waits.begin(), acc.waits.end());
       sp.wait_p50_us = SortedPercentile(acc.waits, 0.50);
@@ -626,7 +557,6 @@ EpochProfile PipelineProfiler::FinishEpoch() {
   // obs), so when fewer distinct threads than `workers` sampled, the gap is
   // the whole span — an honest "at least one worker sat out the epoch".
   {
-    double begin_us = end_us - profile.span_ms * 1000.0;
     struct ThreadIntervals {
       std::uint32_t tid;
       std::vector<std::pair<double, double>> runs;
@@ -684,6 +614,9 @@ EpochProfile PipelineProfiler::FinishEpoch() {
   profile.peak_rss_kb = PeakRssKb();
 
   PublishProfile(profile, samples);
+  if (PhaseTracer::Global().enabled()) {
+    ProjectTrace(profile, samples, begin_us, end_us);
+  }
 
   {
     MutexLock lock(epoch_mutex_);
@@ -692,64 +625,9 @@ EpochProfile PipelineProfiler::FinishEpoch() {
   return profile;
 }
 
-void PipelineProfiler::PublishProfile(const EpochProfile& profile,
-                                      const std::vector<TaskSample>& samples) {
-  if (MetricsEnabled()) {
-    MetricsRegistry& reg = Registry();
-    for (const StageProfile& sp : profile.stages) {
-      const Labels labels = {{"stage", sp.stage}};
-      reg.GetCounter("nezha_profile_stage_cpu_us_total", labels)
-          ->Inc(static_cast<std::uint64_t>(sp.cpu_ms * 1000.0));
-      reg.GetCounter("nezha_profile_stage_busy_us_total", labels)
-          ->Inc(static_cast<std::uint64_t>(sp.busy_ms * 1000.0));
-      reg.GetCounter("nezha_profile_stage_wall_us_total", labels)
-          ->Inc(static_cast<std::uint64_t>(sp.wall_ms * 1000.0));
-      reg.GetCounter("nezha_profile_stage_tasks_total", labels)->Inc(sp.tasks);
-    }
-    std::vector<double> waits;
-    waits.reserve(samples.size());
-    double task_cpu_us = 0;
-    for (const TaskSample& s : samples) {
-      waits.push_back(s.start_us - s.enqueue_us);
-      task_cpu_us += s.cpu_us;
-    }
-    reg.GetHistogram("nezha_pool_task_wait_profile_us", {},
-                     DefaultLatencyBoundsUs())
-        ->ObserveMany(waits);
-    reg.GetCounter("nezha_pool_task_cpu_us_total")
-        ->Inc(static_cast<std::uint64_t>(task_cpu_us));
-    reg.GetHistogram("nezha_profile_efficiency_pct", {}, EfficiencyBounds())
-        ->Observe(profile.efficiency_pct);
-    reg.GetHistogram("nezha_profile_idle_gap_us", {}, DefaultLatencyBoundsUs())
-        ->Observe(profile.largest_idle_gap_ms * 1000.0);
-    reg.GetGauge("nezha_profile_peak_rss_kb")
-        ->Set(static_cast<std::int64_t>(profile.peak_rss_kb));
-    reg.GetCounter("nezha_profile_dropped_samples_total")
-        ->Inc(profile.dropped_samples);
-    reg.GetCounter("nezha_profile_epochs_total")->Inc();
-  }
-
-  // Chrome counter tracks: pool occupancy and queue depth over the epoch,
-  // rebuilt from the stamps (coalesced; see kMaxCounterPoints).
-  PhaseTracer& tracer = PhaseTracer::Global();
-  if (tracer.enabled() && !samples.empty()) {
-    std::vector<std::pair<double, int>> busy;
-    std::vector<std::pair<double, int>> queued;
-    busy.reserve(samples.size() * 2);
-    queued.reserve(samples.size() * 2);
-    for (const TaskSample& s : samples) {
-      busy.emplace_back(s.start_us, +1);
-      busy.emplace_back(s.finish_us, -1);
-      if (!s.inlined) {
-        queued.emplace_back(s.enqueue_us, +1);
-        queued.emplace_back(s.start_us, -1);
-      }
-    }
-    std::sort(busy.begin(), busy.end());
-    std::sort(queued.begin(), queued.end());
-    EmitCounterTrack(tracer, "pool_busy_workers", busy);
-    EmitCounterTrack(tracer, "pool_queued_tasks", queued);
-  }
+void PipelineProfiler::DiscardEpoch() {
+  active_.store(false, std::memory_order_relaxed);
+  UpdateSampling();
 }
 
 EpochProfile PipelineProfiler::LastProfile() const {
@@ -758,8 +636,7 @@ EpochProfile PipelineProfiler::LastProfile() const {
 }
 
 void PipelineProfiler::Clear() {
-  active_.store(false, std::memory_order_relaxed);
-  UpdateSampling();
+  DiscardEpoch();
   {
     MutexLock lock(epoch_mutex_);
     epoch_ = 0;

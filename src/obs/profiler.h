@@ -1,42 +1,42 @@
-// Pipeline bottleneck profiler — attributes CPU to work
+// Pipeline bottleneck profiler and the one stage seam
 // (docs/OBSERVABILITY.md, "Pipeline profiler").
 //
-// The phase tracer (trace.h) answers "how long did each phase take"; this
-// profiler answers "where did the cores actually go while it ran": which
-// pipeline stage burned the CPU, how long tasks sat in the pool queue, how
-// much of the epoch each worker spent idle, and which stage the pipeline
-// was stuck in while they starved.
+// Every pipeline stage boundary goes through one RAII obs::Stage. It stamps
+// the stage once, and the epoch report, the profile and the Chrome trace
+// all read that stamp: Stage::Stop() hands the wall time to the caller
+// (EpochReport phase times, SchedulerMetrics sub-phase times) and records
+// the same interval as a StageSpan into the open profiler window.
 //
 // Three cooperating pieces:
 //
 //   * STAGE TAGS — every ThreadPool task carries the stage label that was
-//     active on the submitting thread (StageScope / ProfileSpan set a
-//     thread_local; Submit captures it; workers restore it while running the
-//     task so nested submissions inherit). Labels are interned to small ids
-//     so the hot path never touches a string.
+//     active on the submitting thread (obs::Stage sets a thread_local;
+//     Submit captures it; workers restore it while running the task so
+//     nested submissions inherit). Labels are interned to small ids so the
+//     hot path never touches a string.
 //
-//   * TASK SAMPLES — the pool stamps every task with steady-clock
-//     enqueue/start/finish times plus a CLOCK_THREAD_CPUTIME_ID delta, and
+//   * TASK SAMPLES — while a window is open the pool stamps every task with
+//     steady-clock enqueue/start/finish times plus a thread-CPU delta, and
 //     hands the sample here (PipelineProfiler::RecordTask). Inline-executed
 //     work (the nested-submission fallback) is recorded too, attributed to
-//     the calling worker's timeline, so profiles don't under-report nested
-//     work. Sampling is window-gated: outside BeginEpoch/FinishEpoch the
-//     whole stamp path is one relaxed load.
+//     the calling worker's timeline. Outside BeginEpoch/FinishEpoch a task
+//     reads no clock: the whole stamp path is one relaxed load.
 //
-//   * STAGE SPANS — ProfileSpan RAII records the wall interval, driver
-//     thread-CPU and global allocation-count delta of one pipeline stage on
-//     the driving thread (validate / execute / acg_build / rank_division /
-//     tx_sorting / exec_groups / durable_commit / ...). FinishEpoch joins
-//     spans and samples into one EpochProfile.
+//   * STAGE SPANS — obs::Stage records the wall interval and driving-thread
+//     CPU of one pipeline stage (validate / execute / acg_build /
+//     rank_division / tx_sorting / exec_groups / durable_commit / ...).
 //
-// FinishEpoch computes, per stage: CPU-ms vs wall-ms, busy-ms, task count,
-// queue-wait p50/p95/max and allocation deltas; and, per epoch: parallel
-// efficiency busy / (workers x span), the largest per-worker idle gap with
-// the stage that was running while the worker starved, and peak RSS. The
-// result feeds EpochReport.profile, the flight record's "profile" member,
-// the nezha_pool_* / nezha_profile_* Prometheus series, and (when the
-// tracer is enabled) Chrome-trace counter tracks ("pool_busy_workers",
-// "pool_queued_tasks").
+// FinishEpoch joins spans and samples into one EpochProfile: per stage,
+// CPU-ms vs wall-ms, busy-ms, task count and queue-wait p50/p95/max; per
+// epoch, parallel efficiency busy / (workers x span), the largest
+// per-worker idle gap with the stage that was running while the worker
+// starved, and peak RSS. The result feeds EpochReport.profile, the flight
+// record's "profile" member and the nezha_pool_* / nezha_profile_*
+// Prometheus series. When the phase tracer is enabled, the closed window
+// is also projected into the Chrome trace: an "epoch <n>" envelope, the
+// stage spans at their nesting depth, one event per task sample on its
+// worker's row, and the "pool_busy_workers" / "pool_queued_tasks" counter
+// tracks. Nothing else in the pipeline writes trace events.
 //
 // AnalyzeCriticalPath walks one epoch's recorded stage spans (leaf spans in
 // start order — ACG build -> sort -> execute groups -> commit), emits the
@@ -46,8 +46,8 @@
 //
 // Threading: one epoch window is open at a time, matching the node's
 // single epoch driver. BeginEpoch discards an unfinished window, and every
-// sample or span recorded until FinishEpoch belongs to the open window,
-// whichever thread records it.
+// sample or span recorded until FinishEpoch (or DiscardEpoch) belongs to
+// the open window, whichever thread records it.
 //
 // The profiler is ON by default and kill-switched like the metrics
 // registry; a disabled (or out-of-window) stamp is one relaxed load.
@@ -77,22 +77,9 @@ std::string_view StageName(StageId id);
 
 /// The stage currently active on this thread (what Submit captures).
 StageId CurrentStage();
-
-/// Tags work on the current thread with a stage label, restoring the
-/// previous label on destruction. Cheap (two thread_local stores); use it
-/// around any region that submits pool tasks worth attributing.
-class StageScope {
- public:
-  explicit StageScope(std::string_view name);
-  explicit StageScope(StageId id);
-  ~StageScope();
-
-  StageScope(const StageScope&) = delete;
-  StageScope& operator=(const StageScope&) = delete;
-
- private:
-  StageId previous_;
-};
+/// Sets this thread's stage tag and returns the previous one (a pool worker
+/// re-enters the submitting thread's stage while it runs a task).
+StageId SetCurrentStage(StageId id);
 
 /// One pool task as the profiler remembers it. Times are microseconds on
 /// the tracer clock (PhaseTracer::NowUs); cpu_us is the executing thread's
@@ -107,14 +94,13 @@ struct TaskSample {
   bool inlined = false;  ///< nested-submission fallback / serial fast path
 };
 
-/// One pipeline stage's interval on the driving thread (ProfileSpan).
+/// One pipeline stage's interval on the driving thread (obs::Stage).
 struct StageSpan {
   StageId stage = kStageNone;
   std::uint32_t tid = 0;
   double start_us = 0;
   double end_us = 0;
   double cpu_us = 0;        ///< driving thread's CPU inside the span
-  std::uint64_t allocs = 0; ///< process-wide allocation-count delta
   std::uint32_t depth = 0;  ///< nesting depth on the driving thread
 };
 
@@ -129,7 +115,6 @@ struct StageProfile {
   double wait_p50_us = 0;  ///< queue wait (enqueue -> start), exact p50
   double wait_p95_us = 0;
   double wait_max_us = 0;
-  std::uint64_t allocs = 0;  ///< allocation-count delta over the stage span
   /// busy / (workers x wall): how much of the pool this stage kept fed
   /// while it ran. 0 when the stage has no wall time.
   double efficiency_pct = 0;
@@ -189,11 +174,6 @@ struct CriticalPathReport {
 /// a phase envelope, not a chain link) and builds the critical path.
 CriticalPathReport AnalyzeCriticalPath(const EpochProfile& profile);
 
-/// Process-wide allocation counter (operator new interposition; relaxed).
-/// Monotonic; span deltas subtract two reads. Always 0 under ASan/TSan —
-/// the sanitizer runtime owns operator new there.
-std::uint64_t AllocationCount();
-
 /// Calling thread's cumulative CPU time in microseconds
 /// (CLOCK_THREAD_CPUTIME_ID). Deltas across a region give on-CPU time
 /// excluding blocking waits.
@@ -222,15 +202,18 @@ class PipelineProfiler {
   /// Records one executed pool task (called by ThreadPool). Drops samples
   /// beyond the ring capacity (counted; reported in the epoch profile).
   void RecordTask(const TaskSample& sample);
-  /// Records one stage span (called by ~ProfileSpan).
+  /// Records one stage span (called by obs::Stage).
   void RecordSpan(const StageSpan& span);
 
   /// Closes the window and aggregates: per-stage CPU/wall/busy/waits,
   /// parallel efficiency, idle gaps, peak RSS. Publishes the nezha_pool_* /
-  /// nezha_profile_* series and (when the phase tracer is enabled) the
-  /// Chrome-trace counter tracks. Returns a default profile when no window
-  /// is active. Runs off the hot path — cost is O(samples log samples).
+  /// nezha_profile_* series and, when the phase tracer is enabled, projects
+  /// the window into the Chrome trace. Returns a default profile when no
+  /// window is active. Runs off the hot path — O(samples log samples).
   EpochProfile FinishEpoch();
+  /// Closes the window without aggregating or publishing anything (an
+  /// epoch that failed).
+  void DiscardEpoch();
 
   /// The last finished epoch's profile (tests, reports).
   EpochProfile LastProfile() const;
@@ -240,11 +223,6 @@ class PipelineProfiler {
 
  private:
   PipelineProfiler() = default;
-
-  /// Emits the nezha_pool_* / nezha_profile_* series and the Chrome-trace
-  /// counter tracks for one finished epoch.
-  void PublishProfile(const EpochProfile& profile,
-                      const std::vector<TaskSample>& samples);
 
   void UpdateSampling() {
     sampling_.store(enabled_.load(std::memory_order_relaxed) &&
@@ -282,26 +260,34 @@ class PipelineProfiler {
 /// Shorthand for PipelineProfiler::Global().
 inline PipelineProfiler& Profiler() { return PipelineProfiler::Global(); }
 
-/// RAII stage span: tags the thread (StageScope semantics) AND records a
-/// StageSpan with wall, driver thread-CPU and allocation deltas when the
-/// profiler is sampling. Construction outside an epoch window degrades to a
-/// plain StageScope.
-class ProfileSpan {
+/// RAII pipeline stage — the one seam every stage boundary goes through.
+/// Construction tags the thread (pool tasks submitted inside are attributed
+/// to the stage) and reads the steady clock. Stop() — or the destructor —
+/// reads it once more, restores the previous tag, records one StageSpan
+/// into the open profiler window and returns the elapsed time, so callers
+/// report exactly the interval the profile and the trace show. Thread CPU
+/// is read only while the profiler is sampling; outside a window a Stage
+/// costs the tag plus two clock reads.
+class Stage {
  public:
-  explicit ProfileSpan(std::string_view name);
-  ~ProfileSpan();
+  explicit Stage(std::string_view name);
+  ~Stage() { Stop(); }
 
-  ProfileSpan(const ProfileSpan&) = delete;
-  ProfileSpan& operator=(const ProfileSpan&) = delete;
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
+
+  /// Ends the stage (idempotent) and returns its wall time in microseconds.
+  double Stop();
 
  private:
   StageId stage_;
   StageId previous_stage_;
-  bool armed_ = false;
+  std::uint32_t depth_;
+  bool sampled_ = false;
+  bool stopped_ = false;
   double start_us_ = 0;
   double cpu_start_us_ = 0;
-  std::uint64_t allocs_start_ = 0;
-  std::uint32_t depth_ = 0;
+  double elapsed_us_ = 0;
 };
 
 }  // namespace nezha::obs

@@ -18,7 +18,6 @@ Clock::time_point TracerEpoch() {
 std::atomic<std::uint32_t> g_next_thread_id{1};
 
 thread_local std::uint32_t t_thread_id = 0;
-thread_local std::uint32_t t_span_depth = 0;
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -75,18 +74,6 @@ void PhaseTracer::SetCapacity(std::size_t capacity) {
                 ring_.end() - static_cast<long>(capacity_));
     next_ = 0;
   }
-}
-
-void PhaseTracer::RecordCounter(std::string_view name, double ts_us,
-                                double value) {
-  if (!enabled()) return;
-  TraceEvent event;
-  event.name = std::string(name);
-  event.tid = CurrentThreadId();
-  event.ts_us = ts_us;
-  event.counter = true;
-  event.value = value;
-  Record(std::move(event));
 }
 
 void PhaseTracer::Record(TraceEvent event) {
@@ -189,29 +176,6 @@ bool PhaseTracer::WriteChromeTrace(const std::string& path) const {
   if (!file.is_open()) return false;
   file << ExportChromeTrace();
   return file.good();
-}
-
-TraceSpan::TraceSpan(std::string_view name) {
-  PhaseTracer& tracer = PhaseTracer::Global();
-  if (!tracer.enabled()) return;
-  armed_ = true;
-  name_ = std::string(name);
-  depth_ = t_span_depth++;
-  start_us_ = PhaseTracer::NowUs();
-}
-
-TraceSpan::~TraceSpan() {
-  if (!armed_) return;
-  --t_span_depth;
-  PhaseTracer& tracer = PhaseTracer::Global();
-  if (!tracer.enabled()) return;
-  TraceEvent event;
-  event.name = std::move(name_);
-  event.tid = CurrentThreadId();
-  event.depth = depth_;
-  event.ts_us = start_us_;
-  event.dur_us = PhaseTracer::NowUs() - start_us_;
-  tracer.Record(std::move(event));
 }
 
 }  // namespace nezha::obs

@@ -1,11 +1,13 @@
-// Phase-span tracer: RAII spans with thread id and nesting depth, collected
-// into a bounded ring buffer and exportable as Chrome trace_event JSON
-// (load the file in chrome://tracing or https://ui.perfetto.dev).
+// Phase tracer: a bounded ring of trace events (spans with thread id and
+// nesting depth, plus counter samples), exportable as Chrome trace_event
+// JSON (load the file in chrome://tracing or https://ui.perfetto.dev).
 //
-// Tracing is OFF by default — a disabled TraceSpan costs one relaxed load.
-// Spans record on destruction as complete ("ph":"X") events; nesting falls
-// out of the per-thread begin/end times, so an "epoch" span enclosing
-// "validate".."commit" spans renders as a flame graph row per thread.
+// The trace is a projection of the profiler's closed epoch windows
+// (obs/profiler.h): PipelineProfiler::FinishEpoch records an "epoch <n>"
+// envelope, the obs::Stage spans under it, one event per pool task on its
+// worker's row, and the pool counter tracks. Pipeline code never writes
+// trace events itself. Tracing is OFF by default; with it off, FinishEpoch
+// skips the projection.
 #pragma once
 
 #include <atomic>
@@ -55,11 +57,8 @@ class PhaseTracer {
   /// Ring capacity in events (default 65536). Shrinking drops the oldest.
   void SetCapacity(std::size_t capacity);
 
+  /// Appends one event to the ring (callers check enabled()).
   void Record(TraceEvent event);
-
-  /// Records one counter sample (a "ph":"C" point on track `name` at
-  /// `ts_us`). Same ring and enable gate as spans.
-  void RecordCounter(std::string_view name, double ts_us, double value);
 
   /// Copies out the buffered events in start-time order.
   std::vector<TraceEvent> Events() const;
@@ -79,7 +78,8 @@ class PhaseTracer {
   /// Writes ExportChromeTrace() to `path`; false on I/O failure.
   bool WriteChromeTrace(const std::string& path) const;
 
-  /// Microseconds since the tracer epoch (process start), the spans' clock.
+  /// Microseconds since the tracer epoch (process start): the clock of
+  /// every stage span, task sample and lifecycle stamp.
   static double NowUs();
 
  private:
@@ -99,23 +99,6 @@ class PhaseTracer {
       GUARDED_BY(mutex_);
 
   friend void SetThreadName(std::string_view name);
-};
-
-/// RAII span. Construction stamps the start; destruction records the event
-/// (when the tracer is enabled at destruction time).
-class TraceSpan {
- public:
-  explicit TraceSpan(std::string_view name);
-  ~TraceSpan();
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  std::string name_;
-  double start_us_ = 0;
-  std::uint32_t depth_ = 0;
-  bool armed_ = false;
 };
 
 }  // namespace nezha::obs

@@ -401,6 +401,12 @@ EpochLatencySummary TxLifecycleTracer::FinishEpoch(std::size_t top_k) {
   return summary;
 }
 
+void TxLifecycleTracer::DiscardEpoch() {
+  MutexLock lock(epoch_mutex_);
+  active_ = false;
+  lifetimes_.clear();
+}
+
 std::vector<TxLifetime> TxLifecycleTracer::LastEpochLifetimes() const {
   MutexLock lock(epoch_mutex_);
   return last_lifetimes_;

@@ -195,6 +195,9 @@ class TxLifecycleTracer {
   /// LastEpochLifetimes(), and deactivates the epoch. Returns a
   /// default-constructed summary when no epoch is active.
   EpochLatencySummary FinishEpoch(std::size_t top_k = 4);
+  /// Ends the epoch without summarizing or publishing anything (an epoch
+  /// that failed).
+  void DiscardEpoch();
 
   /// The finished epoch's lifetimes / summary (for tests and reports).
   std::vector<TxLifetime> LastEpochLifetimes() const;

@@ -2,8 +2,6 @@
 
 #include <atomic>
 
-#include "obs/profiler.h"
-
 namespace nezha {
 namespace {
 
@@ -26,10 +24,6 @@ BatchExecutionResult ExecuteBatchConcurrent(ThreadPool& pool,
   BatchExecutionResult result;
   result.rwsets.resize(txs.size());
   std::atomic<std::size_t> malformed{0};
-  // Explicit stage label: benches drive this executor without the node's
-  // "execute" envelope, and the label is what the profiler attributes the
-  // simulation tasks' CPU to.
-  obs::StageScope stage("speculative_exec");
   pool.ParallelFor(0, txs.size(), [&](std::size_t i) {
     result.rwsets[i] = SimulateOne(snapshot, txs[i], mode, malformed);
   });

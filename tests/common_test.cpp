@@ -567,15 +567,6 @@ TEST(StopwatchTest, MeasuresElapsed) {
   EXPECT_LT(w.ElapsedSeconds(), 5.0);
 }
 
-TEST(PhaseTimerTest, Accumulates) {
-  PhaseTimer t;
-  t.Add(100);
-  t.Add(200);
-  EXPECT_DOUBLE_EQ(t.TotalMicros(), 300);
-  EXPECT_DOUBLE_EQ(t.MeanMicros(), 150);
-  EXPECT_EQ(t.count(), 2u);
-}
-
 // ---------- logging ----------
 
 TEST(LoggingTest, LevelGate) {

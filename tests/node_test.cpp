@@ -2,11 +2,14 @@
 // the simulation driver, and cross-scheme state agreement.
 #include <gtest/gtest.h>
 
+#include "analysis/det_checkpoint.h"
+#include "cc/occ/occ_scheduler.h"
 #include "node/deferred_executor.h"
 #include "node/full_node.h"
 #include "node/simulation.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace nezha {
 namespace {
@@ -154,8 +157,8 @@ TEST(FullNodeTest, RejectsTamperedEpoch) {
 }
 
 TEST(ObservabilityTest, RegistrySnapshotAgreesWithEpochReport) {
-  // EpochReport / SchedulerMetrics are thin views over the registry: after a
-  // run, the published series must reproduce the report for every scheme.
+  // The registry is written from the reports: after a run, the published
+  // series must agree with the reports for every scheme.
   for (SchemeKind kind :
        {SchemeKind::kSerial, SchemeKind::kOcc, SchemeKind::kCg,
         SchemeKind::kNezha, SchemeKind::kNezhaNoReorder}) {
@@ -196,19 +199,158 @@ TEST(ObservabilityTest, RegistrySnapshotAgreesWithEpochReport) {
         snapshot.SumAcrossLabels("nezha_scheduler_aborts_total"),
         static_cast<double>(summary->TotalAborted()));
 
-    // The last build's SchedulerMetrics round-trips through the registry.
+    // The last-build gauges hold the last report's scheduler metrics.
     const SchedulerMetrics& expected = summary->reports.back().cc_metrics;
-    const SchedulerMetrics got =
-        SchedulerMetricsFromSnapshot(snapshot, SchemeName(kind));
-    EXPECT_NEAR(got.construction_us, expected.construction_us, 1e-3);
-    EXPECT_NEAR(got.cycle_us, expected.cycle_us, 1e-3);
-    EXPECT_NEAR(got.sorting_us, expected.sorting_us, 1e-3);
-    EXPECT_EQ(got.graph_vertices, expected.graph_vertices);
-    EXPECT_EQ(got.graph_edges, expected.graph_edges);
-    EXPECT_EQ(got.cycles_found, expected.cycles_found);
-    EXPECT_EQ(got.resource_exhausted, expected.resource_exhausted);
-    EXPECT_EQ(got.reordered_txs, expected.reordered_txs);
+    EXPECT_DOUBLE_EQ(
+        snapshot.Value("nezha_scheduler_graph_vertices", sched_labels),
+        static_cast<double>(expected.graph_vertices));
+    EXPECT_DOUBLE_EQ(
+        snapshot.Value("nezha_scheduler_graph_edges", sched_labels),
+        static_cast<double>(expected.graph_edges));
+    EXPECT_DOUBLE_EQ(
+        snapshot.Value("nezha_scheduler_last_cycles", sched_labels),
+        static_cast<double>(expected.cycles_found));
+    EXPECT_DOUBLE_EQ(
+        snapshot.Value("nezha_scheduler_last_reordered", sched_labels),
+        static_cast<double>(expected.reordered_txs));
+    EXPECT_DOUBLE_EQ(
+        snapshot.Value("nezha_scheduler_resource_exhausted", sched_labels),
+        expected.resource_exhausted ? 1.0 : 0.0);
   }
+}
+
+// One obs::Stage per stage: the report's phase times, the scheduler's
+// sub-phase times, the profile's stage walls and the Chrome trace's spans
+// are the same stamp, so they agree to the nanosecond.
+TEST(ObservabilityTest, EachStageIsStampedOnce) {
+  obs::PhaseTracer& tracer = obs::PhaseTracer::Global();
+  obs::Profiler().SetEnabled(true);
+  tracer.Clear();
+  tracer.SetEnabled(true);
+  SimulationConfig config = SmallConfig(SchemeKind::kNezha);
+  config.epochs = 1;
+  auto summary = RunSimulation(config);
+  tracer.SetEnabled(false);
+  ASSERT_TRUE(summary.ok());
+  const EpochReport& report = summary->reports[0];
+  const std::vector<obs::TraceEvent> events = tracer.Events();
+  const std::uint32_t driver = obs::CurrentThreadId();
+
+  const auto profile_ms = [&report](const std::string& stage) {
+    for (const obs::StageProfile& s : report.profile.stages) {
+      if (s.stage == stage) return s.wall_ms;
+    }
+    ADD_FAILURE() << "no profile stage " << stage;
+    return -1.0;
+  };
+  // The stage's span on the driving thread (task events share the stage
+  // name but sit on depth 0, beside the epoch envelope).
+  const auto trace_ms = [&](const std::string& stage) {
+    const obs::TraceEvent* span = nullptr;
+    for (const obs::TraceEvent& e : events) {
+      if (e.name != stage || e.tid != driver || e.depth == 0) continue;
+      EXPECT_EQ(span, nullptr) << "two spans for " << stage;
+      span = &e;
+    }
+    if (span == nullptr) {
+      ADD_FAILURE() << "no trace span " << stage;
+      return -1.0;
+    }
+    return span->dur_us / 1000.0;
+  };
+
+  constexpr double kOneNsInMs = 1e-6;
+  const std::pair<const char*, double> phases[] = {
+      {"validate", report.validate_ms},
+      {"execute", report.execute_ms},
+      {"cc", report.cc_ms},
+      {"commit", report.commit_ms}};
+  for (const auto& [stage, ms] : phases) {
+    SCOPED_TRACE(stage);
+    EXPECT_NEAR(ms, profile_ms(stage), kOneNsInMs);
+    EXPECT_NEAR(ms, trace_ms(stage), kOneNsInMs);
+  }
+  const SchedulerMetrics& cc = report.cc_metrics;
+  EXPECT_NEAR(cc.construction_us / 1000.0, profile_ms("acg_build"),
+              kOneNsInMs);
+  EXPECT_NEAR(cc.cycle_us / 1000.0, profile_ms("rank_division"), kOneNsInMs);
+  EXPECT_NEAR(cc.sorting_us / 1000.0, profile_ms("tx_sorting"), kOneNsInMs);
+
+  const std::string json = tracer.ExportChromeTrace();
+  EXPECT_NE(json.find("\"name\":\"epoch 1\""), std::string::npos);
+  bool on_worker = false;
+  for (const auto& [tid, name] : tracer.ThreadNames()) {
+    if (name.rfind("pool-worker-", 0) != 0) continue;
+    for (const obs::TraceEvent& e : events) {
+      on_worker = on_worker || (e.tid == tid && !e.counter);
+    }
+  }
+  EXPECT_TRUE(on_worker) << "no task event on a pool worker's row";
+  tracer.Clear();
+}
+
+// A failed epoch closes every window it opened and publishes nothing.
+TEST(ObservabilityTest, FailedEpochClosesItsWindows) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  recorder.SetEnabled(true);
+  recorder.Clear();
+  NodeConfig config;
+  config.scheme = SchemeKind::kNezha;
+  config.worker_threads = 2;
+  config.max_chains = 2;
+  FullNode node(config, nullptr);
+  node.ledger().CommitEpochRoot(0, node.state().RootHash());
+  Transaction tx;
+  tx.payload = MakeSmallBankCall(SmallBankOp::kUpdateBalance, {1, 5});
+  ASSERT_TRUE(
+      node.ledger().AppendBlock(node.ledger().BuildBlock(0, 1, {tx})).ok());
+  auto batch = node.ledger().SealEpoch(1);
+  ASSERT_TRUE(batch.ok());
+  batch->blocks[0].header.tx_root = Hash256{};
+
+  const obs::Labels by_scheme = {{"scheme", "nezha"}};
+  const std::uint64_t epochs_before =
+      obs::Registry().GetCounter("nezha_node_epochs_total", by_scheme)->Value();
+  EXPECT_FALSE(node.ProcessEpoch(*batch).ok());
+  EXPECT_FALSE(obs::Profiler().Sampling());
+  EXPECT_FALSE(obs::Lifecycle().EpochActive());
+  EXPECT_EQ(
+      obs::Registry().GetCounter("nezha_node_epochs_total", by_scheme)->Value(),
+      epochs_before);
+  for (const obs::EpochFlightRecord& record : recorder.Records()) {
+    EXPECT_NE(record.epoch, 1u) << "failed epoch left a flight record";
+  }
+  recorder.Clear();
+}
+
+// A schedule built after an epoch, outside any epoch, must not overwrite
+// that epoch's determinism checkpoints.
+TEST(ObservabilityTest, CheckpointEpochClosesWithTheEpoch) {
+  analysis::DetCheckpointRecorder& det =
+      analysis::DetCheckpointRecorder::Global();
+  det.SetEnabled(true);
+  det.Clear();
+  SimulationConfig config = SmallConfig(SchemeKind::kNezha);
+  config.epochs = 1;
+  ASSERT_TRUE(RunSimulation(config).ok());
+  const auto before = det.Find(1, "nezha");
+  ASSERT_TRUE(before.has_value());
+  ASSERT_TRUE(before->Has(analysis::DetStage::kSort));
+
+  std::vector<Transaction> txs(40);
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    txs[i].payload = MakeSmallBankCall(SmallBankOp::kUpdateBalance, {i, 1});
+  }
+  StateDB db;
+  const auto rwsets = ExecuteBatchSerial(db.MakeSnapshot(0), txs).rwsets;
+  ASSERT_TRUE(OCCScheduler().BuildSchedule(rwsets).ok());
+
+  const auto after = det.Find(1, "nezha");
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->Digest(analysis::DetStage::kSort),
+            before->Digest(analysis::DetStage::kSort));
+  det.SetEnabled(std::nullopt);
+  det.Clear();
 }
 
 // The flight record's scheduler facts come back from the build itself, not

@@ -1,6 +1,7 @@
 // Registry and tracer semantics: counters/gauges/histograms under
-// concurrent writers, label canonicalisation, snapshot stability, span
-// nesting, ring-buffer bounds, and both export formats.
+// concurrent writers, label canonicalisation, snapshot stability, stage
+// nesting in the trace projection of a profiler window, ring-buffer
+// bounds, and both export formats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 
 #include "obs/abort_attribution.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace nezha::obs {
@@ -24,8 +26,28 @@ class ObsTest : public ::testing::Test {
     Registry().ResetAll();
     PhaseTracer::Global().SetEnabled(false);
     PhaseTracer::Global().Clear();
+    Profiler().SetEnabled(true);
+    Profiler().Clear();
   }
 };
+
+/// A trace event as a writer thread would have recorded it by hand.
+TraceEvent SpanEvent(std::string name) {
+  TraceEvent event;
+  event.name = std::move(name);
+  event.tid = CurrentThreadId();
+  event.ts_us = PhaseTracer::NowUs();
+  event.dur_us = PhaseTracer::NowUs() - event.ts_us;
+  return event;
+}
+
+const TraceEvent* FindEvent(const std::vector<TraceEvent>& events,
+                            const std::string& name) {
+  for (const TraceEvent& e : events) {
+    if (e.name == name) return &e;
+  }
+  return nullptr;
+}
 
 TEST_F(ObsTest, CounterConcurrentWritersLoseNothing) {
   Counter* counter = Registry().GetCounter("obs_test_counter");
@@ -185,39 +207,48 @@ TEST_F(ObsTest, ResetAllZeroesEverything) {
 }
 
 TEST_F(ObsTest, SpanNestingRecordsDepthAndContainment) {
+  // Two nested stages inside a profiler window: the projection puts the
+  // epoch envelope at depth 0 and each stage one level below its parent.
   PhaseTracer& tracer = PhaseTracer::Global();
   tracer.SetEnabled(true);
+  Profiler().BeginEpoch(1, "trace", 1);
   {
-    TraceSpan outer("outer");
+    Stage outer("outer");
     {
-      TraceSpan inner("inner");
+      Stage inner("inner");
     }
   }
+  Profiler().FinishEpoch();
   tracer.SetEnabled(false);
   const auto events = tracer.Events();
-  ASSERT_EQ(events.size(), 2u);
-  const TraceEvent* outer = nullptr;
-  const TraceEvent* inner = nullptr;
-  for (const TraceEvent& e : events) {
-    if (e.name == "outer") outer = &e;
-    if (e.name == "inner") inner = &e;
-  }
+  ASSERT_EQ(events.size(), 3u);
+  const TraceEvent* epoch = FindEvent(events, "epoch 1");
+  const TraceEvent* outer = FindEvent(events, "outer");
+  const TraceEvent* inner = FindEvent(events, "inner");
+  ASSERT_NE(epoch, nullptr);
   ASSERT_NE(outer, nullptr);
   ASSERT_NE(inner, nullptr);
-  EXPECT_EQ(outer->depth, 0u);
-  EXPECT_EQ(inner->depth, 1u);
+  EXPECT_EQ(epoch->depth, 0u);
+  EXPECT_EQ(outer->depth, 1u);
+  EXPECT_EQ(inner->depth, 2u);
   EXPECT_EQ(outer->tid, inner->tid);
-  // Containment: the inner span starts and ends inside the outer one.
+  EXPECT_EQ(epoch->tid, outer->tid);
+  // Containment: the inner span starts and ends inside the outer one, and
+  // the outer one inside the epoch envelope.
   EXPECT_GE(inner->ts_us, outer->ts_us);
   EXPECT_LE(inner->ts_us + inner->dur_us, outer->ts_us + outer->dur_us);
+  EXPECT_GE(outer->ts_us, epoch->ts_us);
+  EXPECT_LE(outer->ts_us + outer->dur_us, epoch->ts_us + epoch->dur_us);
 }
 
 TEST_F(ObsTest, DisabledTracerRecordsNothing) {
   PhaseTracer& tracer = PhaseTracer::Global();
   ASSERT_FALSE(tracer.enabled());
+  Profiler().BeginEpoch(1, "trace", 1);
   {
-    TraceSpan span("ignored");
+    Stage stage("ignored");
   }
+  Profiler().FinishEpoch();
   EXPECT_EQ(tracer.EventCount(), 0u);
 }
 
@@ -226,7 +257,7 @@ TEST_F(ObsTest, RingBufferStaysBounded) {
   tracer.SetCapacity(16);
   tracer.SetEnabled(true);
   for (int i = 0; i < 100; ++i) {
-    TraceSpan span("span " + std::to_string(i));
+    tracer.Record(SpanEvent("span " + std::to_string(i)));
   }
   tracer.SetEnabled(false);
   EXPECT_EQ(tracer.EventCount(), 16u);
@@ -241,28 +272,33 @@ TEST_F(ObsTest, RingBufferStaysBounded) {
 }
 
 TEST_F(ObsTest, ConcurrentSpansFromManyThreads) {
+  // Eight threads record stages into one window at once; the projection
+  // carries every one of them, plus the epoch envelope.
   PhaseTracer& tracer = PhaseTracer::Global();
   tracer.SetEnabled(true);
+  Profiler().BeginEpoch(1, "trace", 8);
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([] {
       for (int i = 0; i < 500; ++i) {
-        TraceSpan span("worker");
+        Stage stage("worker");
       }
     });
   }
   for (auto& t : threads) t.join();
+  Profiler().FinishEpoch();
   tracer.SetEnabled(false);
-  EXPECT_EQ(tracer.TotalRecorded(), 8u * 500u);
+  EXPECT_EQ(tracer.TotalRecorded(), 8u * 500u + 1u);
 }
 
 TEST_F(ObsTest, ChromeTraceExportIsWellFormed) {
   PhaseTracer& tracer = PhaseTracer::Global();
   tracer.SetEnabled(true);
+  Profiler().BeginEpoch(1, "trace", 1);
   {
-    TraceSpan span("epoch 1");
-    TraceSpan nested("validate \"quoted\"");
+    Stage nested("validate \"quoted\"");
   }
+  Profiler().FinishEpoch();
   tracer.SetEnabled(false);
   const std::string json = tracer.ExportChromeTrace();
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
@@ -412,9 +448,10 @@ TEST_F(ObsTest, ConcurrentWritersAndExporterSeeNoTornSpans) {
   constexpr int kSpans = 300;
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([t] {
+    writers.emplace_back([&tracer, t] {
       for (int i = 0; i < kSpans; ++i) {
-        TraceSpan span("w" + std::to_string(t) + "." + std::to_string(i));
+        tracer.Record(
+            SpanEvent("w" + std::to_string(t) + "." + std::to_string(i)));
       }
     });
   }
