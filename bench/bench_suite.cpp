@@ -1,15 +1,21 @@
-// The machine-readable benchmark suite behind the `bench_suite` CMake
-// target and the CI perf-regression gate (docs/OBSERVABILITY.md).
+// nezha_bench_suite: the one bench program. Every table and figure of the
+// paper's evaluation (§VI), the ablations, the consensus substrate scaling
+// and the fixed-seed sections behind the CI perf-regression gate are named
+// sections of this binary (EXPERIMENTS.md, docs/OBSERVABILITY.md).
 //
-// Runs every scheme over fixed-seed SmallBank workloads at low and high
-// skew through the full node pipeline, with the calibrated execution cost
-// model (machine-independent latencies; cc + commit measured), and writes
-// one BENCH_nezha.json: per-scheme throughput, latency, abort rate, and the
-// abort-attribution rollup read back from the epoch flight recorder.
-// bench/check_bench_regression compares two such files.
+//   nezha_bench_suite [--json <path>] [--only <section>[,<section>...]]
+//
+// All sections run by default, in kSections order; --only runs a subset.
+// Every JSON row goes into the one report (default BENCH_nezha.json in the
+// working directory), and a row's "bench" is the name of the section that
+// wrote it. bench/check_bench_regression compares two such reports. Seeds,
+// sizes and sweeps are fixed in each section. A failed schedule or
+// simulation stops the run: the program names the section and exits 1. An
+// unknown flag or section name exits 2 with the usage text.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -20,18 +26,59 @@
 #include "cc/cg/cg_scheduler.h"
 #include "cc/nezha/nezha_scheduler.h"
 #include "cc/nezha/parallel_executor.h"
-#include "cc/occ/occ_scheduler.h"
+#include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "consensus/dagrider_sim.h"
+#include "consensus/ohie_sim.h"
+#include "consensus/treegraph_sim.h"
+#include "node/full_node.h"
 #include "node/simulation.h"
 #include "obs/flight_recorder.h"
 #include "obs/profiler.h"
 #include "runtime/concurrent_executor.h"
 #include "vm/cost_model.h"
+#include "workload/conflict_model.h"
+#include "workload/kv_workload.h"
+#include "workload/mixed_workload.h"
+#include "workload/smallbank_workload.h"
 
 using namespace nezha;
 using namespace nezha::bench;
 
 namespace {
+
+/// The paper's SmallBank population: 10k accounts.
+constexpr std::uint64_t kAccounts = 10'000;
+
+constexpr SchemeKind kAllSchemes[] = {SchemeKind::kSerial, SchemeKind::kOcc,
+                                      SchemeKind::kCg, SchemeKind::kNezha,
+                                      SchemeKind::kNezhaNoReorder};
+
+/// Thrown when a section cannot go on; main names the section and exits 1.
+struct SectionFailed {
+  std::string message;
+};
+
+/// Unwraps `result`, or stops the run with its status.
+template <typename T>
+T Must(Result<T> result) {
+  if (!result.ok()) throw SectionFailed{result.status().ToString()};
+  return std::move(result).value();
+}
+
+/// Read/write sets of `txs` SmallBank transactions (kAccounts accounts,
+/// Zipf `skew`, workload seed `seed`), speculatively executed against an
+/// empty state: the batch every scheduler-level section schedules.
+std::vector<ReadWriteSet> SmallBankBatch(double skew, std::uint64_t seed,
+                                         std::size_t txs) {
+  WorkloadConfig config;
+  config.num_accounts = kAccounts;
+  config.skew = skew;
+  SmallBankWorkload workload(config, seed);
+  StateDB db;
+  return ExecuteBatchSerial(db.MakeSnapshot(0), workload.MakeBatch(txs))
+      .rwsets;
+}
 
 /// Merges the attribution of every record the flight recorder currently
 /// holds (one per processed epoch).
@@ -44,10 +91,58 @@ obs::AttributionRollup DrainRollup() {
   return rollup;
 }
 
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+// ---------------------------------------------------------------------------
+// CI-gated sections: check_bench_regression compares their rows with the
+// committed bench/BENCH_baseline.json, keyed by bench + scheme + params.
+// ---------------------------------------------------------------------------
+
+/// Every scheme over fixed-seed SmallBank workloads at low and high skew
+/// through the full node pipeline, with the calibrated execution cost model
+/// (machine-independent latencies; cc + commit measured): per-scheme
+/// throughput, latency, abort rate, and the abort-attribution rollup read
+/// back from the epoch flight recorder.
+void Suite(JsonReport& report) {
+  const std::size_t block_size = 200, concurrency = 8, epochs = 3;
+
+  Header("Benchmark suite — machine-readable perf snapshot",
+         "SmallBank, fixed seeds, modelled execution cost; cc+commit "
+         "measured");
+  Row({"skew", "scheme", "tps", "latency(ms)", "aborts", "conflicts"});
+  for (double skew : {0.2, 0.8}) {
+    for (SchemeKind kind : kAllSchemes) {
+      SimulationConfig config;
+      config.workload.num_accounts = kAccounts;
+      config.workload.skew = skew;
+      config.block_size = block_size;
+      config.block_concurrency = concurrency;
+      config.epochs = epochs;
+      config.seed = 90'000 + static_cast<std::uint64_t>(skew * 10);
+      config.node.scheme = kind;
+      config.node.model_execution_cost = true;
+
+      obs::FlightRecorder::Global().Clear();
+      const SimulationSummary summary = Must(RunSimulation(config));
+
+      JsonResult result;
+      result.bench = "suite";
+      result.scheme = SchemeName(kind);
+      result.params.Set("workload", "smallbank");
+      result.params.Set("skew", skew);
+      result.params.Set("block_size", block_size);
+      result.params.Set("block_concurrency", concurrency);
+      result.params.Set("epochs", epochs);
+      result.params.Set("seed", config.seed);
+      result.throughput_tps = summary.EffectiveTps();
+      result.latency_ms = summary.MeanTotalMs();
+      result.abort_rate = summary.AbortRate();
+      result.rollup = DrainRollup();
+      report.Add(result);
+
+      Row({Fmt(skew, 1), SchemeName(kind), Fmt(result.throughput_tps, 1),
+           Fmt(result.latency_ms, 2), FmtPct(result.abort_rate),
+           FmtInt(result.rollup.ConflictAborts())});
+    }
+  }
 }
 
 /// The threads dimension: BuildSchedule + group-parallel execute of one
@@ -58,63 +153,48 @@ double NowMs() {
 /// group structure and machine-independent, so the 8-thread speedup gate
 /// holds on single-core CI runners too. Emits one serial sibling per
 /// threads value with identical params so check_bench_regression's ratio
-/// mode pairs them. Returns the measured 1->8 thread speedup.
-double RunParallelPipelineBench(bench::JsonReport& report) {
-  const std::size_t num_txs = bench::EnvSize("NEZHA_BENCH_PARALLEL_TXS", 4096);
+/// mode pairs them. Fails the run when the 1->8 thread speedup is below 2x;
+/// the committed baseline then locks the achieved ratio.
+void ParallelPipeline(JsonReport& report) {
+  const std::size_t num_txs = 4096;
   const double skew = 0.6;
   const std::uint64_t seed = 91'000;
   const CostModel cost;
-
-  WorkloadConfig workload_config;
-  workload_config.num_accounts = 10'000;
-  workload_config.skew = skew;
-  SmallBankWorkload workload(workload_config, seed);
-  StateDB workload_db;
-  const StateSnapshot snap = workload_db.MakeSnapshot(0);
-  const auto txs = workload.MakeBatch(num_txs);
-  const auto rwsets = ExecuteBatchSerial(snap, txs).rwsets;
-
+  const std::vector<ReadWriteSet> rwsets = SmallBankBatch(skew, seed, num_txs);
   const double serial_latency_ms = cost.SerialLatencyMs(num_txs);
 
-  bench::Row({"threads", "scheme", "tps", "latency(ms)", "cc+merge(ms)",
-              "exec(ms)"});
+  Header("Parallel pipeline — threads dimension",
+         "4096-tx epoch; cc+merge measured, execution modelled per group "
+         "(docs/PARALLELISM.md)");
+  Row({"threads", "scheme", "tps", "latency(ms)", "cc+merge(ms)",
+       "exec(ms)"});
   double latency_at_1 = 0, latency_at_8 = 0;
   for (const std::size_t threads : {1, 2, 4, 8}) {
     ThreadPool pool(threads);
-    NezhaOptions options;
-    options.pool = &pool;
-    NezhaScheduler scheduler(options);
+    const auto scheduler = MakeScheduler(SchemeKind::kNezha, &pool);
 
     // Three repetitions, mean of the measured portion; the schedule itself
     // is deterministic so one copy serves the modelled phase.
+    const Schedule schedule = Must(scheduler->BuildSchedule(rwsets));
     double measured_ms = 0;
-    Result<Schedule> schedule = scheduler.BuildSchedule(rwsets);
-    if (!schedule.ok()) {
-      std::fprintf(stderr, "bench_suite: parallel pipeline failed: %s\n",
-                   schedule.status().message().c_str());
-      return 0;
-    }
     constexpr int kReps = 3;
     for (int rep = 0; rep < kReps; ++rep) {
-      const double t0 = NowMs();
-      Result<Schedule> rebuilt = scheduler.BuildSchedule(rwsets);
+      Stopwatch watch;
+      const Schedule rebuilt = Must(scheduler->BuildSchedule(rwsets));
       StateDB db;
       const StateSnapshot epoch_snap = db.MakeSnapshot(0);
-      ExecuteScheduleParallel(pool, db, epoch_snap, *rebuilt, rwsets);
-      measured_ms += NowMs() - t0;
+      ExecuteScheduleParallel(pool, db, epoch_snap, rebuilt, rwsets);
+      measured_ms += watch.ElapsedMillis();
     }
     measured_ms /= kReps;
 
     std::vector<std::size_t> group_sizes;
-    group_sizes.reserve(schedule->groups.size());
-    for (const auto& group : schedule->groups) {
+    group_sizes.reserve(schedule.groups.size());
+    for (const auto& group : schedule.groups) {
       group_sizes.push_back(group.size());
     }
     const double exec_ms = cost.GroupExecuteLatencyMs(group_sizes, threads);
     const double latency_ms = measured_ms + exec_ms;
-    const double abort_rate =
-        static_cast<double>(schedule->NumAborted()) /
-        static_cast<double>(num_txs);
     if (threads == 1) latency_at_1 = latency_ms;
     if (threads == 8) latency_at_8 = latency_ms;
 
@@ -127,12 +207,14 @@ double RunParallelPipelineBench(bench::JsonReport& report) {
     result.params.Set("threads", threads);
     result.params.Set("seed", seed);
     result.throughput_tps =
-        static_cast<double>(schedule->NumCommitted()) / latency_ms * 1000.0;
+        static_cast<double>(schedule.NumCommitted()) / latency_ms * 1000.0;
     result.latency_ms = latency_ms;
-    result.abort_rate = abort_rate;
+    result.abort_rate = static_cast<double>(schedule.NumAborted()) /
+                        static_cast<double>(num_txs);
+    result.rollup = obs::BuildRollup(schedule.attribution);
     result.extra.Set("measured_cc_merge_ms", measured_ms);
     result.extra.Set("modelled_exec_ms", exec_ms);
-    result.extra.Set("groups", schedule->groups.size());
+    result.extra.Set("groups", schedule.groups.size());
     report.Add(result);
 
     // Serial sibling with identical params: the ratio-mode denominator.
@@ -146,15 +228,17 @@ double RunParallelPipelineBench(bench::JsonReport& report) {
     serial.abort_rate = 0;
     report.Add(serial);
 
-    bench::Row({bench::FmtInt(threads), "nezha",
-                bench::Fmt(result.throughput_tps, 1),
-                bench::Fmt(latency_ms, 2), bench::Fmt(measured_ms, 2),
-                bench::Fmt(exec_ms, 2)});
-    bench::Row({bench::FmtInt(threads), "serial",
-                bench::Fmt(serial.throughput_tps, 1),
-                bench::Fmt(serial_latency_ms, 2), "-", "-"});
+    Row({FmtInt(threads), "nezha", Fmt(result.throughput_tps, 1),
+         Fmt(latency_ms, 2), Fmt(measured_ms, 2), Fmt(exec_ms, 2)});
+    Row({FmtInt(threads), "serial", Fmt(serial.throughput_tps, 1),
+         Fmt(serial_latency_ms, 2), "-", "-"});
   }
-  return latency_at_8 > 0 ? latency_at_1 / latency_at_8 : 0;
+  const double speedup = latency_at_8 > 0 ? latency_at_1 / latency_at_8 : 0;
+  std::printf("\nBuildSchedule+Execute speedup, 1 -> 8 threads: %.2fx\n",
+              speedup);
+  if (speedup < 2.0) {
+    throw SectionFailed{"speedup " + Fmt(speedup) + "x is below the 2x gate"};
+  }
 }
 
 /// The parallel-efficiency dimension: every concurrent scheme's measured
@@ -168,67 +252,56 @@ double RunParallelPipelineBench(bench::JsonReport& report) {
 /// check_bench_regression gates the parallel_efficiency_pct member with
 /// --efficiency-tolerance; throughput is deliberately 0 so the throughput
 /// gate is inert for these rows.
-bool RunParallelEfficiencySection(bench::JsonReport& report) {
-  const std::size_t num_txs = bench::EnvSize("NEZHA_BENCH_PARALLEL_TXS", 4096);
+void ParallelEfficiency(JsonReport& report) {
+  const std::size_t num_txs = 4096;
   const double skew = 0.6;
   const std::uint64_t seed = 91'000;
+  const std::vector<ReadWriteSet> rwsets = SmallBankBatch(skew, seed, num_txs);
 
-  WorkloadConfig workload_config;
-  workload_config.num_accounts = 10'000;
-  workload_config.skew = skew;
-  SmallBankWorkload workload(workload_config, seed);
-  StateDB workload_db;
-  const StateSnapshot snap = workload_db.MakeSnapshot(0);
-  const auto txs = workload.MakeBatch(num_txs);
-  const auto rwsets = ExecuteBatchSerial(snap, txs).rwsets;
-
+  Header("Parallel efficiency — measured pool utilisation",
+         "pipeline profiler busy/(workers x span) per scheme x threads; "
+         "best of 3 reps (docs/OBSERVABILITY.md, \"Pipeline profiler\")");
+  // The section needs the profiler on, and leaves it as it found it so the
+  // sections after it run the same as they do alone.
+  const bool was_profiling = obs::Profiler().enabled();
   obs::Profiler().SetEnabled(true);
-  bench::Row({"scheme", "threads", "eff(%)", "busy(ms)", "span(ms)", "tasks",
-              "idle-gap(ms)", "dominant"});
+  Row({"scheme", "threads", "eff(%)", "busy(ms)", "span(ms)", "tasks",
+       "idle-gap(ms)", "dominant"});
 
-  const char* kSchemes[] = {"occ", "cg", "nezha", "nezha-noreorder"};
   std::uint64_t window = 0;
-  for (const char* scheme : kSchemes) {
+  for (const SchemeKind kind : {SchemeKind::kOcc, SchemeKind::kCg,
+                                SchemeKind::kNezha,
+                                SchemeKind::kNezhaNoReorder}) {
+    const char* scheme = SchemeName(kind);
     for (const std::size_t threads : {2, 4, 8}) {
       ThreadPool pool(threads);
-      std::unique_ptr<Scheduler> scheduler;
-      if (std::string_view(scheme) == "occ") {
-        scheduler = std::make_unique<OCCScheduler>();
-      } else if (std::string_view(scheme) == "cg") {
-        scheduler = std::make_unique<CGScheduler>();
-      } else {
-        NezhaOptions options;
-        options.pool = &pool;
-        options.enable_reordering =
-            std::string_view(scheme) != "nezha-noreorder";
-        scheduler = std::make_unique<NezhaScheduler>(options);
-      }
+      const auto scheduler = MakeScheduler(kind, &pool);
 
       // Warm-up rep outside any profiling window (pool spin-up, allocator
       // warm-up), then three profiled reps; keep the best efficiency.
       double abort_rate = 0;
+      obs::AttributionRollup rollup;
       obs::EpochProfile best;
       for (int rep = -1; rep < 3; ++rep) {
         if (rep >= 0) {
           obs::Profiler().BeginEpoch(++window, scheme, pool.size());
         }
-        Result<Schedule> schedule = scheduler->BuildSchedule(rwsets);
-        if (!schedule.ok()) {
-          std::fprintf(stderr, "bench_suite: efficiency %s failed: %s\n",
-                       scheme, schedule.status().message().c_str());
-          return false;
-        }
+        const Schedule schedule = Must(scheduler->BuildSchedule(rwsets));
         StateDB db;
         const StateSnapshot epoch_snap = db.MakeSnapshot(0);
-        ExecuteScheduleParallel(pool, db, epoch_snap, *schedule, rwsets);
-        if (rep >= 0) {
-          obs::EpochProfile profile = obs::Profiler().FinishEpoch();
-          if (profile.efficiency_pct > best.efficiency_pct) {
-            best = std::move(profile);
-          }
+        ExecuteScheduleParallel(pool, db, epoch_snap, schedule, rwsets);
+        if (rep < 0) {
+          // The schedule is deterministic, so the warm-up rep's serves the
+          // row's abort columns.
+          abort_rate = static_cast<double>(schedule.NumAborted()) /
+                       static_cast<double>(num_txs);
+          rollup = obs::BuildRollup(schedule.attribution);
+          continue;
         }
-        abort_rate = static_cast<double>(schedule->NumAborted()) /
-                     static_cast<double>(num_txs);
+        obs::EpochProfile profile = obs::Profiler().FinishEpoch();
+        if (profile.efficiency_pct > best.efficiency_pct) {
+          best = std::move(profile);
+        }
       }
 
       JsonResult result;
@@ -242,6 +315,7 @@ bool RunParallelEfficiencySection(bench::JsonReport& report) {
       result.throughput_tps = 0;  // efficiency row: throughput gate inert
       result.latency_ms = best.span_ms;
       result.abort_rate = abort_rate;
+      result.rollup = std::move(rollup);
       result.extra.Set("parallel_efficiency_pct", best.efficiency_pct);
       result.extra.Set("busy_ms", best.busy_ms);
       result.extra.Set("cpu_ms", best.cpu_ms);
@@ -252,44 +326,41 @@ bool RunParallelEfficiencySection(bench::JsonReport& report) {
       result.extra.Set("dominant_stage", best.DominantStage());
       report.Add(result);
 
-      bench::Row({scheme, bench::FmtInt(threads),
-                  bench::Fmt(best.efficiency_pct, 1),
-                  bench::Fmt(best.busy_ms, 2), bench::Fmt(best.span_ms, 2),
-                  bench::FmtInt(best.tasks),
-                  bench::Fmt(best.largest_idle_gap_ms, 2),
-                  best.DominantStage()});
+      Row({scheme, FmtInt(threads), Fmt(best.efficiency_pct, 1),
+           Fmt(best.busy_ms, 2), Fmt(best.span_ms, 2), FmtInt(best.tasks),
+           Fmt(best.largest_idle_gap_ms, 2), best.DominantStage()});
     }
   }
-  return true;
+  obs::Profiler().SetEnabled(was_profiling);
 }
 
 /// The sustained-load dimension: every scheme under steady arrival through
 /// mempool -> mining -> confirmed queue -> pipeline, with exact
-/// per-transaction end-to-end commit-latency percentiles
-/// (bench/sustained_load.h). The serial row is the ratio-mode denominator
-/// for check_bench_regression's latency gate.
-bool RunSustainedSection(bench::JsonReport& report) {
+/// per-transaction end-to-end commit-latency percentiles from the lifecycle
+/// tracer (bench/sustained_load.h). The serial row is the ratio-mode
+/// denominator for check_bench_regression's latency gate.
+void SustainedLoad(JsonReport& report) {
   SustainedLoadConfig base;
-  base.block_size = bench::EnvSize("NEZHA_BENCH_BLOCK_SIZE", 200);
-  base.block_concurrency =
-      bench::EnvSize("NEZHA_BENCH_SUSTAINED_CONCURRENCY", 4);
-  base.epochs = bench::EnvSize("NEZHA_BENCH_SUSTAINED_EPOCHS", 6);
+  base.block_size = 200;
+  base.block_concurrency = 4;
+  base.epochs = 6;
   base.skew = 0.6;
   base.seed = 92'000;
 
-  bench::Row({"scheme", "tps", "p50(ms)", "p95(ms)", "p99(ms)", "aborts"});
-  const SchemeKind kSchemes[] = {SchemeKind::kSerial, SchemeKind::kOcc,
-                                 SchemeKind::kCg, SchemeKind::kNezha,
-                                 SchemeKind::kNezhaNoReorder};
-  for (const SchemeKind kind : kSchemes) {
+  Header("Sustained load — client-observed commit latency",
+         "steady arrival, open pipeline; exact per-tx e2e percentiles "
+         "(submitted -> durably committed)");
+  std::printf("block %zu x %zu blocks/epoch, %zu epochs, skew %.2f\n\n",
+              base.block_size, base.block_concurrency, base.epochs,
+              base.skew);
+  Row({"scheme", "tps", "p50(ms)", "p95(ms)", "p99(ms)", "max(ms)",
+       "aborts"});
+  for (const SchemeKind kind : kAllSchemes) {
     SustainedLoadConfig config = base;
     config.scheme = kind;
-    const auto run = RunSustainedLoad(config);
-    if (!run.ok()) {
-      std::fprintf(stderr, "bench_suite: sustained %s failed: %s\n",
-                   SchemeName(kind), run.status().message().c_str());
-      return false;
-    }
+    obs::FlightRecorder::Global().Clear();
+    const SustainedLoadResult run = Must(RunSustainedLoad(config));
+
     JsonResult result;
     result.bench = "sustained_load";
     result.scheme = SchemeName(kind);
@@ -299,114 +370,935 @@ bool RunSustainedSection(bench::JsonReport& report) {
     result.params.Set("block_concurrency", config.block_concurrency);
     result.params.Set("epochs", config.epochs);
     result.params.Set("seed", config.seed);
-    result.throughput_tps = run->throughput_tps;
-    result.latency_ms = run->e2e_mean_ms;
-    result.abort_rate = run->AbortRate();
-    result.extra.Set("e2e_p50_ms", run->e2e_p50_ms);
-    result.extra.Set("e2e_p95_ms", run->e2e_p95_ms);
-    result.extra.Set("e2e_p99_ms", run->e2e_p99_ms);
-    result.extra.Set("e2e_max_ms", run->e2e_max_ms);
-    result.extra.Set("e2e_samples", run->sampled);
-    result.extra.Set("wall_ms", run->wall_ms);
+    result.throughput_tps = run.throughput_tps;
+    result.latency_ms = run.e2e_mean_ms;
+    result.abort_rate = run.AbortRate();
+    result.rollup = DrainRollup();
+    result.extra.Set("e2e_p50_ms", run.e2e_p50_ms);
+    result.extra.Set("e2e_p95_ms", run.e2e_p95_ms);
+    result.extra.Set("e2e_p99_ms", run.e2e_p99_ms);
+    result.extra.Set("e2e_max_ms", run.e2e_max_ms);
+    result.extra.Set("e2e_samples", run.sampled);
+    result.extra.Set("wall_ms", run.wall_ms);
     report.Add(result);
 
-    bench::Row({SchemeName(kind), bench::Fmt(run->throughput_tps, 1),
-                bench::Fmt(run->e2e_p50_ms, 2),
-                bench::Fmt(run->e2e_p95_ms, 2),
-                bench::Fmt(run->e2e_p99_ms, 2),
-                bench::FmtPct(run->AbortRate())});
+    Row({SchemeName(kind), Fmt(run.throughput_tps, 1), Fmt(run.e2e_p50_ms, 2),
+         Fmt(run.e2e_p95_ms, 2), Fmt(run.e2e_p99_ms, 2),
+         Fmt(run.e2e_max_ms, 2), FmtPct(run.AbortRate())});
   }
-  return true;
+}
+
+// ---------------------------------------------------------------------------
+// The paper's evaluation (§VI), in paper order.
+// ---------------------------------------------------------------------------
+
+/// Table I: theoretical number of conflicts in a DAG-based blockchain as
+/// block concurrency grows (block size 20, Zipfian access over 10k
+/// accounts), alongside an empirical measurement on real SmallBank
+/// read/write sets.
+///
+/// Paper row (in units of p, the pairwise conflict probability):
+///   concurrency        2      4      6       8
+///   total conflicts  780p  3160p  7140p  12720p
+///   per address       26p    56p   106p    150p
+void Table1(JsonReport&) {
+  const std::size_t block_size = 20;
+  const double skew = 0.8;  // "a fixed Zipfian distribution"
+  const std::size_t reps = 8;
+
+  Header("Table I — theoretical & measured conflicts vs block concurrency",
+         "block size 20 txs, Zipfian(0.8) over 10k accounts (paper's setup)");
+
+  Row({"concurrency", "N_e", "pairs=C/p", "paper C/p", "meas. p",
+       "meas. conflicts", "addrs", "conf/addr"});
+
+  const std::uint64_t paper_pairs[] = {780, 3160, 7140, 12720};
+  int paper_idx = 0;
+  for (std::size_t omega : {2u, 4u, 6u, 8u}) {
+    const std::size_t n = omega * block_size;
+
+    double sum_p = 0, sum_conflicts = 0, sum_addrs = 0, sum_per_addr = 0;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      const ConflictStats stats =
+          MeasureConflicts(SmallBankBatch(skew, 1000 + rep, n));
+      sum_p += stats.conflict_probability;
+      sum_conflicts += static_cast<double>(stats.conflicting_pairs);
+      sum_addrs += static_cast<double>(stats.distinct_addresses);
+      sum_per_addr += stats.avg_conflicts_per_address;
+    }
+    const double r = static_cast<double>(reps);
+    Row({FmtInt(omega), FmtInt(n), FmtInt(ConflictPairCount(n)),
+         FmtInt(paper_pairs[paper_idx++]) + "p", Fmt(sum_p / r, 4),
+         Fmt(sum_conflicts / r, 1), Fmt(sum_addrs / r, 1),
+         Fmt(sum_per_addr / r, 2)});
+  }
+
+  std::printf(
+      "\nShape check: pairs grow ~quadratically (power law) with "
+      "concurrency,\nand measured conflicts per address rise with N_e — the "
+      "paper's motivation\nfor address-based detection.\n");
+
+  // Analytic expected distinct addresses (the denominator of the paper's
+  // per-address row), for reference.
+  Header("Expected distinct addresses touched (analytic)", "");
+  Row({"draws", "E[distinct] (Zipf 0.8, 20k cells)"});
+  for (std::size_t omega : {2u, 4u, 6u, 8u}) {
+    const std::size_t draws = omega * block_size * 2;  // ~2 addresses per tx
+    Row({FmtInt(draws),
+         Fmt(ExpectedDistinctAddresses(kAccounts * 2, skew, draws), 1)});
+  }
+}
+
+/// Table II, quantified: the paper's qualitative scheme comparison rendered
+/// as measured properties on one contended workload — does the scheme
+/// execute concurrently, does it COMMIT concurrently (max commit-group
+/// size), does it need special hardware (all: no), and does it stay
+/// efficient under considerable conflicts (cc latency + abort rate at skew
+/// 0.8, concurrency 8).
+void Table2(JsonReport& report) {
+  const std::size_t txs_count = 1600;
+  const double skew = 0.8;
+
+  Header("Table II (quantified) — scheme properties under high contention",
+         "SmallBank, skew 0.8, 1600 txs (block concurrency 8)");
+
+  const std::vector<ReadWriteSet> rwsets = SmallBankBatch(skew, 22, txs_count);
+  ThreadPool pool(0);
+  Row({"scheme", "cc(ms)", "aborts", "groups", "max group", "commit conc."},
+      13);
+  for (SchemeKind kind : {SchemeKind::kOcc, SchemeKind::kCg,
+                          SchemeKind::kNezha}) {
+    auto scheduler = MakeScheduler(kind);
+    Stopwatch watch;
+    const Schedule schedule = Must(scheduler->BuildSchedule(rwsets));
+    const double cc_ms = watch.ElapsedMillis();
+    StateDB state;
+    const ParallelExecStats stats = ExecuteScheduleParallel(
+        pool, state, StateSnapshot{}, schedule, rwsets);
+    Row({SchemeName(kind), Fmt(cc_ms, 2), FmtPct(schedule.AbortRate()),
+         FmtInt(stats.groups), FmtInt(stats.max_group),
+         stats.max_group > 1 ? "yes" : "no (serial)"},
+        13);
+
+    JsonResult result;
+    result.bench = "table2";
+    result.scheme = SchemeName(kind);
+    result.params.Set("workload", "smallbank");
+    result.params.Set("skew", skew);
+    result.params.Set("txs", txs_count);
+    result.latency_ms = cc_ms;
+    result.abort_rate = schedule.AbortRate();
+    result.rollup = obs::BuildRollup(schedule.attribution);
+    result.extra.Set("commit_groups", stats.groups);
+    result.extra.Set("max_commit_group", stats.max_group);
+    report.Add(result);
+  }
+
+  std::printf(
+      "\nTable II's qualitative claims, measured: OCC is cheap but aborts "
+      "the\nmost and commits serially; CG reduces aborts but pays heavy "
+      "cycle\nhandling and still commits serially; Nezha keeps cc cheap, "
+      "aborts least,\nand is the only scheme with concurrent commitment "
+      "(max group > 1).\nNo scheme here assumes special software/hardware "
+      "(no STM/HTM).\n");
+}
+
+/// Table IV: overall transaction processing latency under a uniform
+/// workload (skew = 0), Serial baseline vs Nezha, block concurrency 2..12,
+/// 200-tx blocks.
+///
+/// The Serial and Nezha-execute ("e") numbers use the calibrated EVM cost
+/// model (DESIGN.md §4) — they reflect the paper's 16-vCPU EVM testbed.
+/// The concurrency-control + commitment ("c") numbers are MEASURED on this
+/// machine's real implementation.
+void Table4(JsonReport&) {
+  const std::size_t block_size = 200;
+  const std::size_t epochs = 3;
+
+  Header("Table IV — transaction processing latency, uniform workload",
+         "Serial & execute phases use the calibrated EVM cost model; "
+         "cc+commit (\"c\") is measured");
+
+  Row({"concurrency", "serial(ms)", "paper", "nezha e(ms)", "paper e",
+       "nezha c(ms)", "paper c"}, 13);
+
+  const double paper_serial[] = {4700, 10900, 17200, 23800, 30000, 36600};
+  const double paper_e[] = {123.4, 246.4, 369.3, 511.7, 641.5, 743.4};
+  const double paper_c[] = {22.1, 32.8, 44.9, 56.4, 71.6, 87.1};
+
+  int idx = 0;
+  for (std::size_t omega : {2u, 4u, 6u, 8u, 10u, 12u}) {
+    SimulationConfig config;
+    config.workload.num_accounts = kAccounts;
+    config.workload.skew = 0.0;
+    config.block_size = block_size;
+    config.block_concurrency = omega;
+    config.epochs = epochs;
+    config.seed = 40 + omega;
+    config.node.model_execution_cost = true;
+
+    config.node.scheme = SchemeKind::kSerial;
+    const SimulationSummary serial = Must(RunSimulation(config));
+    config.node.scheme = SchemeKind::kNezha;
+    const SimulationSummary nezha = Must(RunSimulation(config));
+    Row({FmtInt(omega), Fmt(serial.MeanTotalMs(), 0),
+         Fmt(paper_serial[idx], 0), Fmt(nezha.MeanExecuteMs(), 1),
+         Fmt(paper_e[idx], 1), Fmt(nezha.MeanCcCommitMs(), 1),
+         Fmt(paper_c[idx], 1)},
+        13);
+    ++idx;
+  }
+
+  std::printf(
+      "\nShape check: Serial grows linearly toward ~37 s while Nezha's total "
+      "stays\nwithin ~1 s per epoch; cc+commit is a small fraction of the "
+      "total — the\npaper's up-to-40x speedup story.\n");
+}
+
+struct Measurement {
+  double cc_commit_ms = 0;
+  bool exhausted = false;
+};
+
+/// Times one scheme's BuildSchedule plus the grouped commit of its schedule.
+Measurement MeasureScheme(Scheduler& scheduler,
+                          const std::vector<ReadWriteSet>& rwsets,
+                          ThreadPool& pool) {
+  Stopwatch watch;
+  const Schedule schedule = Must(scheduler.BuildSchedule(rwsets));
+  StateDB state;
+  ExecuteScheduleParallel(pool, state, StateSnapshot{}, schedule, rwsets);
+  Measurement m;
+  m.cc_commit_ms = watch.ElapsedMillis();
+  m.exhausted = scheduler.metrics().resource_exhausted;
+  return m;
+}
+
+/// Fig. 9: concurrency-control + commitment latency of Nezha vs the CG
+/// scheme under varying block concurrency (2..12) and Zipfian skew
+/// (0.2 / 0.4 / 0.6 / 0.8). All numbers are measured on the real
+/// implementations; "FAIL(mem)" marks runs where CG's Johnson enumeration
+/// blew its budget — the condition under which the paper's CG prototype
+/// died of OOM (skew 0.8, concurrency > 4).
+void Fig9(JsonReport&) {
+  const std::size_t block_size = 200;
+  const std::size_t reps = 3;
+
+  Header("Fig. 9 — cc + commitment latency: Nezha vs CG (measured)",
+         "SmallBank, 10k accounts, 200-tx blocks; paper: CG explodes with "
+         "skew & concurrency, Nezha stays flat");
+
+  ThreadPool pool(0);
+  for (double skew : {0.2, 0.4, 0.6, 0.8}) {
+    std::printf("\n--- skew = %.1f ---\n", skew);
+    Row({"concurrency", "txs", "nezha(ms)", "cg(ms)", "cg status",
+         "speedup"});
+    for (std::size_t omega : {2u, 4u, 6u, 8u, 10u, 12u}) {
+      double nezha_ms = 0, cg_ms = 0;
+      bool exhausted = false;
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        const std::vector<ReadWriteSet> rwsets = SmallBankBatch(
+            skew, 9000 + omega * 10 + rep, omega * block_size);
+        NezhaScheduler nezha;
+        CGScheduler cg;
+        nezha_ms += MeasureScheme(nezha, rwsets, pool).cc_commit_ms;
+        const Measurement m = MeasureScheme(cg, rwsets, pool);
+        cg_ms += m.cc_commit_ms;
+        exhausted |= m.exhausted;
+      }
+      nezha_ms /= static_cast<double>(reps);
+      cg_ms /= static_cast<double>(reps);
+      Row({FmtInt(omega), FmtInt(omega * block_size), Fmt(nezha_ms, 2),
+           Fmt(cg_ms, 2), exhausted ? "FAIL(mem)" : "ok",
+           Fmt(cg_ms / (nezha_ms > 0 ? nezha_ms : 1e-9), 1) + "x"});
+    }
+  }
+  std::printf(
+      "\nShape check: Nezha latency stays low and nearly flat across skew "
+      "and\nconcurrency; CG grows much faster and trips its memory budget at "
+      "high\nskew — matching Fig. 9's blow-up and the paper's OOM note.\n");
+}
+
+/// Fig. 10: latency of each concurrency-control sub-phase at block
+/// concurrency 4, skew 0.5 and 0.6.
+///
+/// CG phases:    graph construction / cycle detection+removal / topo sorting
+/// Nezha phases: ACG construction  / sorting-rank division    / tx sorting
+/// plus the measured commitment latency for both.
+void Fig10(JsonReport&) {
+  const std::size_t block_size = 200;
+  const std::size_t omega = 4;
+  const std::size_t reps = 5;
+
+  Header("Fig. 10 — per-sub-phase concurrency-control latency (measured)",
+         "block concurrency 4 (800 txs), skew 0.5 / 0.6");
+
+  ThreadPool pool(0);
+  const StateSnapshot empty;
+  for (double skew : {0.5, 0.6}) {
+    std::printf("\n--- skew = %.1f ---\n", skew);
+    Row({"scheme", "construct(ms)", "cycle/rank(ms)", "sort(ms)",
+         "commit(ms)", "cycles", "aborts"});
+
+    for (const SchemeKind kind : {SchemeKind::kNezha, SchemeKind::kCg}) {
+      double construct = 0, cycle = 0, sort = 0, commit = 0;
+      std::uint64_t cycles = 0, aborts = 0;
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        const std::vector<ReadWriteSet> rwsets =
+            SmallBankBatch(skew, 500 + rep, omega * block_size);
+        const auto scheduler = MakeScheduler(kind);
+        const Schedule schedule = Must(scheduler->BuildSchedule(rwsets));
+        const SchedulerMetrics& m = scheduler->metrics();
+        construct += m.construction_us / 1000.0;
+        cycle += m.cycle_us / 1000.0;
+        sort += m.sorting_us / 1000.0;
+        cycles += m.cycles_found;
+        aborts += schedule.NumAborted();
+
+        Stopwatch watch;
+        StateDB state;
+        ExecuteScheduleParallel(pool, state, empty, schedule, rwsets);
+        commit += watch.ElapsedMillis();
+      }
+      const double r = static_cast<double>(reps);
+      Row({SchemeName(kind), Fmt(construct / r, 3), Fmt(cycle / r, 3),
+           Fmt(sort / r, 3), Fmt(commit / r, 3), FmtInt(cycles / reps),
+           FmtInt(aborts / reps)});
+    }
+  }
+  std::printf(
+      "\nShape check: CG's construction dominates at skew 0.5 and its cycle\n"
+      "detection+removal explodes at 0.6 (Johnson enumeration); Nezha's "
+      "graph\nconstruction is negligible and its sorting stays stable — "
+      "Fig. 10's story.\n");
+}
+
+/// Fig. 11: transaction abort rate under rising Zipfian skew (0.6 .. 1.0),
+/// block concurrency 1 (the paper keeps CG alive by using a single 200-tx
+/// block). OCC is included as the extra baseline from the paper's Table II
+/// discussion.
+///
+/// Abort counting goes through the schedule's attribution rollup — the same
+/// records the flight recorder stores — so the rate shown here and the
+/// per-cause breakdown always agree (docs/OBSERVABILITY.md).
+void Fig11(JsonReport& report) {
+  const std::size_t block_size = 200;
+  const std::size_t reps = 10;
+
+  Header("Fig. 11 — transaction abort rate vs skew (block concurrency 1)",
+         "SmallBank, 10k accounts, 200-tx batches, averaged over seeds");
+
+  Row({"skew", "nezha", "nezha-noreorder", "cg", "occ", "nezha vs cg"});
+
+  std::map<std::string, obs::AttributionRollup> last_rollups;
+  for (double skew : {0.6, 0.7, 0.8, 0.9, 1.0}) {
+    // scheme -> merged attribution rollup across reps.
+    std::map<std::string, obs::AttributionRollup> rollups;
+    std::size_t total_txs = 0;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      const std::vector<ReadWriteSet> rwsets =
+          SmallBankBatch(skew, 7000 + rep, block_size);
+      total_txs += rwsets.size();
+      for (const SchemeKind kind :
+           {SchemeKind::kNezha, SchemeKind::kNezhaNoReorder, SchemeKind::kCg,
+            SchemeKind::kOcc}) {
+        const Schedule schedule =
+            Must(MakeScheduler(kind)->BuildSchedule(rwsets));
+        // One record per aborted tx (PublishSchedulerObs guarantees it), so
+        // the rollup IS the abort count — no ad-hoc flag counting.
+        rollups[SchemeName(kind)].Merge(obs::BuildRollup(schedule.attribution));
+      }
+    }
+    const auto rate = [&](const char* scheme) {
+      return static_cast<double>(rollups[scheme].total_aborts) /
+             static_cast<double>(total_txs);
+    };
+    const double nezha = rate("nezha");
+    const double cg = rate("cg");
+    Row({Fmt(skew, 1), FmtPct(nezha), FmtPct(rate("nezha-noreorder")),
+         FmtPct(cg), FmtPct(rate("occ")),
+         Fmt((cg - nezha) * 100, 1) + " pp lower"});
+
+    for (const auto& [scheme, rollup] : rollups) {
+      JsonResult result;
+      result.bench = "fig11";
+      result.scheme = scheme;
+      result.params.Set("workload", "smallbank");
+      result.params.Set("skew", skew);
+      result.params.Set("block_size", block_size);
+      result.params.Set("reps", reps);
+      result.abort_rate = rate(scheme.c_str());
+      result.rollup = rollup;
+      report.Add(result);
+    }
+    last_rollups = rollups;
+  }
+
+  // The per-cause split of the most contended row, from the same rollup
+  // that produced the rates above.
+  std::printf("\nAbort causes at skew 1.0:\n");
+  Row({"scheme", "read-write", "ww-unreord.", "rank-cycle", "reorders"});
+  for (const auto& [scheme, rollup] : last_rollups) {
+    Row({scheme, FmtInt(rollup.Kind(obs::ConflictKind::kReadWrite)),
+         FmtInt(rollup.Kind(obs::ConflictKind::kWriteWriteUnreorderable)),
+         FmtInt(rollup.Kind(obs::ConflictKind::kRankCycle)),
+         FmtInt(rollup.reorder_commits) + "/" +
+             FmtInt(rollup.reorder_attempts)});
+  }
+  std::printf(
+      "\nShape check: all schemes' abort rates climb steeply with skew; "
+      "Nezha\ntracks CG at low skew and beats it as skew approaches 1.0 "
+      "(paper: 3.5 pp\nat skew 1.0). OCC aborts the most throughout.\n");
+}
+
+/// Fig. 12: effective system throughput (committed tx/s) under varying
+/// block concurrency, skew 0.2 and 0.6, with a 1 s expected block
+/// generation cadence. Serial & execute-phase latencies come from the
+/// calibrated EVM cost model; concurrency control and commitment are
+/// measured (DESIGN.md §4).
+void Fig12(JsonReport& report) {
+  const std::size_t block_size = 200;
+  const std::size_t epochs = 3;
+  constexpr SchemeKind kinds[] = {SchemeKind::kSerial, SchemeKind::kCg,
+                                  SchemeKind::kNezha};
+
+  Header("Fig. 12 — effective throughput vs block concurrency (1 s epochs)",
+         "committed tx/s; Serial/execute modelled on the paper's testbed, "
+         "cc+commit measured");
+
+  for (double skew : {0.2, 0.6}) {
+    std::printf("\n--- skew = %.1f ---\n", skew);
+    Row({"concurrency", "serial tps", "cg tps", "nezha tps", "nezha aborts"});
+    for (std::size_t omega : {2u, 4u, 6u, 8u, 10u, 12u}) {
+      SimulationConfig config;
+      config.workload.num_accounts = kAccounts;
+      config.workload.skew = skew;
+      config.block_size = block_size;
+      config.block_concurrency = omega;
+      config.epochs = epochs;
+      config.seed = 1200 + omega;
+      config.node.model_execution_cost = true;
+
+      SimulationSummary summaries[std::size(kinds)];
+      obs::AttributionRollup rollups[std::size(kinds)];
+      for (std::size_t s = 0; s < std::size(kinds); ++s) {
+        config.node.scheme = kinds[s];
+        obs::FlightRecorder::Global().Clear();
+        summaries[s] = Must(RunSimulation(config));
+        rollups[s] = DrainRollup();
+      }
+      Row({FmtInt(omega), Fmt(summaries[0].EffectiveTps(), 1),
+           Fmt(summaries[1].EffectiveTps(), 1),
+           Fmt(summaries[2].EffectiveTps(), 1),
+           FmtPct(summaries[2].AbortRate())});
+
+      for (std::size_t s = 0; s < std::size(kinds); ++s) {
+        JsonResult result;
+        result.bench = "fig12";
+        result.scheme = SchemeName(kinds[s]);
+        result.params.Set("workload", "smallbank");
+        result.params.Set("skew", skew);
+        result.params.Set("block_size", block_size);
+        result.params.Set("block_concurrency", omega);
+        result.params.Set("epochs", epochs);
+        result.throughput_tps = summaries[s].EffectiveTps();
+        result.latency_ms = summaries[s].MeanTotalMs();
+        result.abort_rate = summaries[s].AbortRate();
+        result.rollup = rollups[s];
+        report.Add(result);
+      }
+    }
+  }
+
+  std::printf(
+      "\nShape check: Serial stays flat (~60-90 tps) regardless of "
+      "concurrency;\nNezha scales near-linearly with concurrency and holds "
+      "up at skew 0.6,\nwhere CG's concurrency-control latency erodes its "
+      "throughput at high\nconcurrency — Fig. 12's crossover.\n");
+}
+
+// ---------------------------------------------------------------------------
+// Ablations and extensions beyond the paper.
+// ---------------------------------------------------------------------------
+
+/// Ablation: the §IV.D reordering enhancement.
+///
+/// SmallBank never issues blind writes (every written address is also
+/// read), so the write-write rescue path is idle there — Fig. 11's
+/// Nezha-vs-CG gap comes from Algorithm 2's read-writer reassignment
+/// instead. This section drives the synthetic KV workload with
+/// multi-address blind writes (the exact Fig. 8 shape) and sweeps the
+/// blind-write fraction: the enhancement's benefit (aborts avoided) grows
+/// with the fraction of reorderable write-write conflicts.
+void AblationReorder(JsonReport&) {
+  const std::size_t txs_count = 400;
+  const std::size_t reps = 10;
+
+  Header("Ablation — §IV.D reordering on blind-write workloads",
+         "KV workload: 2 reads + 2 writes per tx, 1k keys, Zipf 0.9");
+
+  Row({"blind frac", "aborts (on)", "aborts (off)", "rescued", "reduction"});
+  for (double blind : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+    double with_reorder = 0, without = 0, rescued = 0;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      KVWorkloadConfig config;
+      config.num_keys = 1000;
+      config.skew = 0.9;
+      config.reads_per_tx = 2;
+      config.writes_per_tx = 2;
+      config.blind_write_fraction = blind;
+      KVWorkload workload(config, 300 + rep);
+      const auto rwsets = workload.MakeBatch(txs_count);
+
+      NezhaScheduler on;
+      NezhaOptions off_options;
+      off_options.enable_reordering = false;
+      NezhaScheduler off(off_options);
+      with_reorder += Must(on.BuildSchedule(rwsets)).AbortRate();
+      without += Must(off.BuildSchedule(rwsets)).AbortRate();
+      rescued += static_cast<double>(on.metrics().reordered_txs);
+    }
+    const double r = static_cast<double>(reps);
+    const double reduction =
+        without > 0 ? (without - with_reorder) / without : 0;
+    Row({Fmt(blind, 2), FmtPct(with_reorder / r), FmtPct(without / r),
+         Fmt(rescued / r, 1), FmtPct(reduction)});
+  }
+
+  std::printf(
+      "\nShape check: with no blind writes the two variants coincide "
+      "(SmallBank's\nregime); as blind multi-address writes appear, "
+      "reordering rescues\ntransactions the plain algorithm would abort.\n");
+}
+
+double MeasureAborts(RankPolicy policy,
+                     const std::vector<ReadWriteSet>& rwsets) {
+  NezhaOptions options;
+  options.rank_policy = policy;
+  NezhaScheduler scheduler(options);
+  return Must(scheduler.BuildSchedule(rwsets)).AbortRate();
+}
+
+/// Ablation: Algorithm 1's cycle tie-break (minimum in-degree, then maximum
+/// out-degree) vs a naive arbitrary pick. The paper's rationale: ranking
+/// the address "with the most dependencies" first makes its transaction
+/// order authoritative for more downstream addresses, reducing the sorting
+/// anomalies that end in aborts.
+void AblationRankPolicy(JsonReport&) {
+  const std::size_t txs_count = 400;
+  const std::size_t reps = 10;
+
+  Header("Ablation — Algorithm 1 rank tie-break policy",
+         "abort rates: paper policy vs naive victim, per workload & skew");
+
+  Row({"workload", "skew", "alg.1 aborts", "naive aborts", "delta"});
+  for (double skew : {0.8, 0.9, 1.0}) {
+    double smart = 0, naive = 0;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      const std::vector<ReadWriteSet> rwsets =
+          SmallBankBatch(skew, 600 + rep, txs_count);
+      smart += MeasureAborts(RankPolicy::kNezha, rwsets);
+      naive += MeasureAborts(RankPolicy::kNaive, rwsets);
+    }
+    const double r = static_cast<double>(reps);
+    Row({"smallbank", Fmt(skew, 1), FmtPct(smart / r), FmtPct(naive / r),
+         Fmt((naive - smart) / r * 100, 2) + " pp"});
+  }
+  for (double skew : {0.8, 0.9, 1.0}) {
+    double smart = 0, naive = 0;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      KVWorkloadConfig config;
+      config.num_keys = 500;
+      config.skew = skew;
+      config.reads_per_tx = 3;
+      config.writes_per_tx = 2;
+      config.blind_write_fraction = 0.5;
+      KVWorkload workload(config, 700 + rep);
+      const auto rwsets = workload.MakeBatch(txs_count);
+      smart += MeasureAborts(RankPolicy::kNezha, rwsets);
+      naive += MeasureAborts(RankPolicy::kNaive, rwsets);
+    }
+    const double r = static_cast<double>(reps);
+    Row({"kv-blind", Fmt(skew, 1), FmtPct(smart / r), FmtPct(naive / r),
+         Fmt((naive - smart) / r * 100, 2) + " pp"});
+  }
+  std::printf(
+      "\nBoth policies yield valid (serializable) schedules; the tie-break "
+      "only\naffects which transactions abort. Measured honestly: on these "
+      "workloads\nthe paper's most-dependencies heuristic aborts slightly "
+      "MORE than the\nnaive smallest-subscript pick (the paper never "
+      "evaluates this choice in\nisolation) — its real role is "
+      "determinism across replicas, which both\npolicies provide.\n");
+}
+
+/// Ablation: worker-thread scaling of the two parallel phases — speculative
+/// execution and grouped commitment — plus the end-to-end epoch latency.
+/// (The paper's full node uses 16 vCPUs; this shows how the implementation
+/// scales on whatever this machine has.)
+void AblationScaling(JsonReport&) {
+  const std::size_t txs_count = 20'000;
+  const std::size_t reps = 5;
+
+  Header("Ablation — thread scaling of execution & grouped commitment",
+         "SmallBank, skew 0.2, 20000 txs, MiniVM bytecode execution");
+
+  WorkloadConfig config;
+  config.num_accounts = kAccounts;
+  config.skew = 0.2;
+  SmallBankWorkload workload(config, 77);
+  StateDB db;
+  SmallBankWorkload::InitAccounts(db, config.num_accounts, 1000, 1000);
+  const StateSnapshot snap = db.MakeSnapshot(0);
+  const auto txs = workload.MakeBatch(txs_count);
+
+  Row({"threads", "execute(ms)", "commit(ms)", "speedup(exec)"});
+  double exec_base = 0;
+  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    double exec_ms = 0, commit_ms = 0;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      Stopwatch watch;
+      const auto exec =
+          ExecuteBatchConcurrent(pool, snap, txs, ExecMode::kBytecode);
+      exec_ms += watch.ElapsedMillis();
+
+      NezhaScheduler scheduler;
+      const Schedule schedule = Must(scheduler.BuildSchedule(exec.rwsets));
+      watch.Restart();
+      StateDB state;
+      ExecuteScheduleParallel(pool, state, snap, schedule, exec.rwsets);
+      commit_ms += watch.ElapsedMillis();
+    }
+    exec_ms /= static_cast<double>(reps);
+    commit_ms /= static_cast<double>(reps);
+    if (threads == 1) exec_base = exec_ms;
+    Row({FmtInt(threads), Fmt(exec_ms, 2), Fmt(commit_ms, 2),
+         Fmt(exec_base / exec_ms, 2) + "x"});
+  }
+  std::printf(
+      "\nExecution is embarrassingly parallel (each tx simulates against "
+      "one\nimmutable snapshot); scaling tracks physical cores. Commitment\n"
+      "parallelism is bounded by commit-group sizes.\n");
+}
+
+/// Ablation: batch size as the cost driver. The paper fixes the block size
+/// at 200 transactions and sweeps block concurrency; this sweeps the
+/// epoch's total transaction count N_e directly. Block framing needs no
+/// sweep: BuildSchedule takes the epoch's read/write sets and never sees
+/// blocks, so one batch cut into blocks any way schedules identically.
+/// Concurrency-control cost and the conflict population grow with N_e,
+/// exactly as Table I predicts.
+void AblationBlockSize(JsonReport&) {
+  const std::size_t reps = 5;
+
+  Header("Ablation — batch size N_e as the cost driver",
+         "SmallBank, 10k accounts, skew 0.6");
+
+  // CC latency and conflicts grow with N_e; abort rate rises with the
+  // conflict density.
+  std::printf("\nvarying batch size N_e:\n");
+  Row({"N_e", "cc(ms)", "aborts", "meas. conflicts", "groups"});
+  for (std::size_t n : {200u, 400u, 800u, 1600u, 3200u}) {
+    double cc_ms = 0, aborts = 0, conflicts = 0, groups = 0;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      const std::vector<ReadWriteSet> rwsets =
+          SmallBankBatch(0.6, 900 + rep, n);
+      NezhaScheduler scheduler;
+      Stopwatch watch;
+      const Schedule schedule = Must(scheduler.BuildSchedule(rwsets));
+      cc_ms += watch.ElapsedMillis();
+      aborts += schedule.AbortRate();
+      groups += static_cast<double>(schedule.groups.size());
+      if (n <= 800) {  // quadratic measurement; skip for big batches
+        conflicts +=
+            static_cast<double>(MeasureConflicts(rwsets).conflicting_pairs);
+      }
+    }
+    const double r = static_cast<double>(reps);
+    Row({FmtInt(n), Fmt(cc_ms / r, 2), FmtPct(aborts / r),
+         n <= 800 ? Fmt(conflicts / r, 0) : std::string("(skipped)"),
+         Fmt(groups / r, 0)});
+  }
+
+  std::printf(
+      "\nShape check: batch size is what drives conflicts, latency and "
+      "aborts — the\nreason the paper sweeps block CONCURRENCY at fixed "
+      "block size.\n");
+}
+
+/// Extension: heterogeneous contract traffic through the schedulers.
+///
+/// The paper evaluates pure SmallBank; a production chain carries a mix.
+/// This section runs SmallBank + raw-KV (blind writes) + token (reverts)
+/// traffic through every scheme and reports latency, abort composition,
+/// and the §IV.D rescue count — blind writes are where the enhancement
+/// finally earns its keep on-chain.
+void MixedContracts(JsonReport&) {
+  const std::size_t txs_count = 1600;
+  const std::size_t reps = 5;
+
+  Header("Mixed-contract traffic — SmallBank + KV (blind writes) + token",
+         "equal thirds, 1k entities per contract, skew 0.9, 1600 txs");
+
+  MixedWorkloadConfig config;
+  config.smallbank_accounts = 1000;
+  config.kv_keys = 1000;
+  config.token_holders = 1000;
+  config.skew = 0.9;
+
+  Row({"scheme", "cc(ms)", "reverted", "cc-aborted", "committed",
+       "rescued", "max group"},
+      13);
+  for (SchemeKind kind : {SchemeKind::kOcc, SchemeKind::kCg,
+                          SchemeKind::kNezha, SchemeKind::kNezhaNoReorder}) {
+    double cc_ms = 0, reverted = 0, aborted = 0, committed = 0, rescued = 0;
+    std::size_t max_group = 0;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      MixedWorkload workload(config, 800 + rep);
+      StateDB db;
+      MixedWorkload::InitState(db, config, 200);  // modest funds: reverts
+      const StateSnapshot snap = db.MakeSnapshot(0);
+      const auto txs = workload.MakeBatch(txs_count);
+      const auto exec = ExecuteBatchSerial(snap, txs);
+      std::size_t execution_reverts = 0;
+      for (const auto& rw : exec.rwsets) execution_reverts += rw.ok ? 0 : 1;
+
+      auto scheduler = MakeScheduler(kind);
+      Stopwatch watch;
+      const Schedule schedule = Must(scheduler->BuildSchedule(exec.rwsets));
+      cc_ms += watch.ElapsedMillis();
+      reverted += static_cast<double>(execution_reverts);
+      aborted +=
+          static_cast<double>(schedule.NumAborted() - execution_reverts);
+      committed += static_cast<double>(schedule.NumCommitted());
+      rescued += static_cast<double>(scheduler->metrics().reordered_txs);
+
+      ThreadPool pool(0);
+      StateDB state;
+      const ParallelExecStats stats =
+          ExecuteScheduleParallel(pool, state, snap, schedule, exec.rwsets);
+      max_group = std::max(max_group, stats.max_group);
+    }
+    const double r = static_cast<double>(reps);
+    Row({SchemeName(kind), Fmt(cc_ms / r, 2), Fmt(reverted / r, 0),
+         Fmt(aborted / r, 0), Fmt(committed / r, 0), Fmt(rescued / r, 1),
+         FmtInt(max_group)},
+        13);
+  }
+
+  std::printf(
+      "\nReverted = failed at execution (token overdrafts) — identical for "
+      "every\nscheme. CC-aborted = serializability victims. Nezha rescues "
+      "blind\nmulti-writes (KV kMultiSet) via §IV.D — visible as a lower "
+      "cc-aborted\ncount than nezha-noreorder — while keeping cc two orders "
+      "below CG.\n");
+}
+
+/// Substrate: the three DAG consensus families' simulations. OHIE's
+/// confirmed-block throughput and confirmation latency as the number of
+/// parallel chains k grows, at a fixed per-chain mining rate (the
+/// protocol's core claim: throughput scales with k because chains run
+/// independent Nakamoto instances). This is the property that produces the
+/// block concurrency Nezha exploits: more chains => more concurrent blocks
+/// per epoch => more conflicts for the concurrency-control layer to resolve
+/// (Table I). Every simulated link delays a message by
+/// base_latency_ms + U[0, jitter_ms).
+void Consensus(JsonReport&) {
+  const double duration_ms = 120'000;
+  const double per_chain_interval_ms = 1000;  // 1 block/s/chain expected
+
+  Header("OHIE consensus scaling — throughput vs parallel chains",
+         "5 nodes, 1 block/s per chain, 100 ms + U[0, 100) ms latency, "
+         "confirm depth 6, 2 min simulated");
+
+  Row({"chains", "mined", "per-chain", "forked", "confirmed",
+       "confirmed/s", "scale"});
+  double base_rate = 0;
+  for (ChainId k : {1u, 2u, 4u, 8u, 16u}) {
+    OhieSimConfig config;
+    config.num_chains = k;
+    config.num_nodes = 5;
+    config.mean_block_interval_ms = per_chain_interval_ms / k;
+    config.base_latency_ms = 100;
+    config.jitter_ms = 100;
+    config.confirm_depth = 6;
+    config.duration_ms = duration_ms;
+    config.seed = 17;
+    OhieSimulation sim(config);
+    sim.Run();
+
+    const OhieSimStats& stats = sim.stats();
+    const double confirmed_per_s =
+        static_cast<double>(stats.confirmed_blocks) / (duration_ms / 1000.0);
+    if (k == 1) base_rate = confirmed_per_s;
+    Row({FmtInt(k), FmtInt(stats.blocks_mined),
+         Fmt(static_cast<double>(stats.blocks_mined) / k, 1),
+         FmtInt(stats.forked_blocks), FmtInt(stats.confirmed_blocks),
+         Fmt(confirmed_per_s, 2),
+         Fmt(confirmed_per_s / (base_rate > 0 ? base_rate : 1), 1) + "x"});
+  }
+
+  std::printf(
+      "\nShape check: confirmed throughput scales near-linearly with the "
+      "number\nof chains at fixed per-chain rate — OHIE's \"scaling made "
+      "simple\" claim,\nand the source of the block concurrency Nezha's "
+      "scheduler is built for.\n");
+
+  // The other mainstream DAG family (§II.A): Conflux-style tree-graph.
+  // Here concurrency comes from raising the mining rate — concurrent
+  // blocks are woven in by reference edges instead of being forked away,
+  // and epoch sizes ARE the block concurrency ω_e of the paper's model.
+  Header("Tree-graph (Conflux-style) — epoch concurrency vs mining rate",
+         "5 nodes, 100 ms + U[0, 100) ms latency, confirm depth 8, 2 min "
+         "simulated");
+  Row({"interval ms", "mined", "confirmed", "epochs", "mean w_e", "max w_e",
+       "utilization"});
+  for (double interval : {1000.0, 500.0, 250.0, 125.0, 62.5}) {
+    TreeGraphSimConfig config;
+    config.num_nodes = 5;
+    config.mean_block_interval_ms = interval;
+    config.base_latency_ms = 100;
+    config.jitter_ms = 100;
+    config.confirm_depth = 8;
+    config.duration_ms = duration_ms;
+    config.seed = 23;
+    TreeGraphSimulation sim(config);
+    sim.Run();
+    const TreeGraphSimStats& stats = sim.stats();
+    Row({Fmt(interval, 0), FmtInt(stats.blocks_mined),
+         FmtInt(stats.confirmed_blocks), FmtInt(stats.confirmed_epochs),
+         Fmt(stats.mean_epoch_size, 2), Fmt(stats.max_epoch_size, 0),
+         FmtPct(stats.blocks_mined == 0
+                    ? 0
+                    : static_cast<double>(stats.confirmed_blocks) /
+                          static_cast<double>(stats.blocks_mined))});
+  }
+  std::printf(
+      "\nShape check: as the mining interval shrinks toward the network "
+      "latency,\nepoch concurrency (mean ω_e) grows while block utilization "
+      "stays high —\nthe tree-graph discards nothing; concurrent blocks "
+      "become the very B_e\nbatches the Nezha layer schedules.\n");
+
+  // Third family: the BFT DAG (DAG-Rider-style). Rounds self-clock off
+  // quorums, so vertex throughput tracks 1/latency and every committed
+  // wave anchors one execution batch.
+  Header("BFT DAG (DAG-Rider-style) — rounds and commits vs latency",
+         "4 nodes, 20 ms emit delay, 1 min simulated");
+  Row({"latency ms", "vertices", "rounds", "committed", "batches",
+       "commit lag"});
+  for (double latency : {25.0, 50.0, 100.0, 200.0}) {
+    DagRiderSimConfig config;
+    config.num_nodes = 4;
+    config.base_latency_ms = latency;
+    config.jitter_ms = latency;
+    config.duration_ms = 60'000;
+    config.seed = 29;
+    DagRiderSimulation sim(config);
+    sim.Run();
+    const DagRiderSimStats& stats = sim.stats();
+    Row({Fmt(latency, 0), FmtInt(stats.vertices_emitted),
+         FmtInt(stats.max_round), FmtInt(stats.committed_vertices),
+         FmtInt(stats.committed_batches),
+         FmtPct(stats.vertices_emitted == 0
+                    ? 0
+                    : 1.0 - static_cast<double>(stats.committed_vertices) /
+                                static_cast<double>(stats.vertices_emitted))});
+  }
+  std::printf(
+      "\nShape check: round rate (and thus vertex throughput) scales "
+      "inversely\nwith latency; the uncommitted tail (commit lag) stays a "
+      "small fraction —\nwave commits keep pace with the DAG's growth.\n");
+}
+
+struct Section {
+  const char* name;
+  void (*run)(JsonReport&);
+};
+
+// The CI-gated sections run first, so their measured rows (sustained-load
+// tps, pool efficiency) are taken in the same process state as the
+// committed baseline's.
+constexpr Section kSections[] = {
+    {"suite", Suite},
+    {"parallel_pipeline", ParallelPipeline},
+    {"parallel_efficiency", ParallelEfficiency},
+    {"sustained_load", SustainedLoad},
+    {"table1", Table1},
+    {"table2", Table2},
+    {"table4", Table4},
+    {"fig9", Fig9},
+    {"fig10", Fig10},
+    {"fig11", Fig11},
+    {"fig12", Fig12},
+    {"ablation_reorder", AblationReorder},
+    {"ablation_rankpolicy", AblationRankPolicy},
+    {"ablation_scaling", AblationScaling},
+    {"ablation_blocksize", AblationBlockSize},
+    {"mixed_contracts", MixedContracts},
+    {"consensus", Consensus},
+};
+
+int Usage(const std::string& problem) {
+  std::fprintf(stderr,
+               "nezha_bench_suite: %s\n"
+               "usage: nezha_bench_suite [--json <path>] "
+               "[--only <section>[,<section>...]]\n"
+               "sections:",
+               problem.c_str());
+  for (const Section& section : kSections) {
+    std::fprintf(stderr, " %s", section.name);
+  }
+  std::fprintf(stderr, "\n");
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = JsonPathFromArgs(argc, argv);
-  if (json_path.empty()) json_path = "BENCH_nezha.json";
-
-  const std::size_t block_size = EnvSize("NEZHA_BENCH_BLOCK_SIZE", 200);
-  const std::size_t concurrency = EnvSize("NEZHA_BENCH_CONCURRENCY", 8);
-  const std::size_t epochs = EnvSize("NEZHA_BENCH_EPOCHS", 3);
-
-  Header("Benchmark suite — machine-readable perf snapshot",
-         "SmallBank, fixed seeds, modelled execution cost; cc+commit "
-         "measured");
-
-  JsonReport report("bench_suite");
-  Row({"skew", "scheme", "tps", "latency(ms)", "aborts", "conflicts"});
-
-  const SchemeKind kSchemes[] = {SchemeKind::kSerial, SchemeKind::kOcc,
-                                 SchemeKind::kCg, SchemeKind::kNezha,
-                                 SchemeKind::kNezhaNoReorder};
-  for (double skew : {0.2, 0.8}) {
-    for (SchemeKind kind : kSchemes) {
-      SimulationConfig config;
-      config.workload.num_accounts = 10'000;
-      config.workload.skew = skew;
-      config.block_size = block_size;
-      config.block_concurrency = concurrency;
-      config.epochs = epochs;
-      config.seed = 90'000 + static_cast<std::uint64_t>(skew * 10);
-      config.node.scheme = kind;
-      config.node.model_execution_cost = true;
-
-      obs::FlightRecorder::Global().Clear();
-      const auto summary = RunSimulation(config);
-      if (!summary.ok()) {
-        std::fprintf(stderr, "bench_suite: %s failed: %s\n", SchemeName(kind),
-                     summary.status().message().c_str());
-        return 1;
+  std::string json_path = "BENCH_nezha.json";
+  bool selected[std::size(kSections)];
+  std::fill(std::begin(selected), std::end(selected), true);
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view flag = argv[i];
+    if (flag != "--json" && flag != "--only") {
+      return Usage("unknown argument '" + std::string(flag) + "'");
+    }
+    if (i + 1 == argc) return Usage(std::string(flag) + " needs a value");
+    const std::string_view value = argv[++i];
+    if (flag == "--json") {
+      json_path = value;
+      continue;
+    }
+    std::fill(std::begin(selected), std::end(selected), false);
+    for (std::size_t start = 0; start <= value.size();) {
+      const std::size_t comma = std::min(value.find(',', start), value.size());
+      const std::string_view name = value.substr(start, comma - start);
+      const auto* section = std::find_if(
+          std::begin(kSections), std::end(kSections),
+          [&](const Section& s) { return name == s.name; });
+      if (section == std::end(kSections)) {
+        return Usage("unknown section '" + std::string(name) + "'");
       }
-
-      JsonResult result;
-      result.bench = "suite";
-      result.scheme = SchemeName(kind);
-      result.params.Set("workload", "smallbank");
-      result.params.Set("skew", skew);
-      result.params.Set("block_size", block_size);
-      result.params.Set("block_concurrency", concurrency);
-      result.params.Set("epochs", epochs);
-      result.params.Set("seed", config.seed);
-      result.throughput_tps = summary->EffectiveTps();
-      result.latency_ms = summary->MeanTotalMs();
-      result.abort_rate = summary->AbortRate();
-      result.rollup = DrainRollup();
-      report.Add(result);
-
-      Row({Fmt(skew, 1), SchemeName(kind), Fmt(result.throughput_tps, 1),
-           Fmt(result.latency_ms, 2), FmtPct(result.abort_rate),
-           FmtInt(result.rollup.ConflictAborts())});
+      selected[section - std::begin(kSections)] = true;
+      start = comma + 1;
     }
   }
 
-  Header("Parallel pipeline — threads dimension",
-         "4096-tx epoch; cc+merge measured, execution modelled per group "
-         "(docs/PARALLELISM.md)");
-  const double speedup = RunParallelPipelineBench(report);
-  std::printf("\nBuildSchedule+Execute speedup, 1 -> 8 threads: %.2fx\n",
-              speedup);
-  // Acceptance gate (ISSUE: >= 2x at 4096 txs / 8 threads). The committed
-  // baseline then locks the achieved ratio via check_bench_regression.
-  if (speedup < 2.0) {
-    std::fprintf(stderr,
-                 "bench_suite: parallel pipeline speedup %.2fx < 2x gate\n",
-                 speedup);
-    return 1;
+  JsonReport report("bench_suite");
+  for (std::size_t i = 0; i < std::size(kSections); ++i) {
+    if (!selected[i]) continue;
+    try {
+      kSections[i].run(report);
+    } catch (const SectionFailed& failure) {
+      std::fflush(stdout);
+      std::fprintf(stderr, "nezha_bench_suite: section %s failed: %s\n",
+                   kSections[i].name, failure.message.c_str());
+      return 1;
+    }
   }
-
-  Header("Parallel efficiency — measured pool utilisation",
-         "pipeline profiler busy/(workers x span) per scheme x threads; "
-         "best of 3 reps (docs/OBSERVABILITY.md, \"Pipeline profiler\")");
-  if (!RunParallelEfficiencySection(report)) return 1;
-
-  Header("Sustained load — client-observed commit latency",
-         "steady arrival, open pipeline; exact per-tx e2e percentiles "
-         "(submitted -> durably committed)");
-  if (!RunSustainedSection(report)) return 1;
-
   if (!report.WriteTo(json_path)) {
-    std::fprintf(stderr, "bench_suite: cannot write %s\n", json_path.c_str());
+    std::fprintf(stderr, "nezha_bench_suite: cannot write %s\n",
+                 json_path.c_str());
     return 1;
   }
   return 0;

@@ -1,12 +1,12 @@
-// Shared helpers for the paper-reproduction bench binaries: aligned table
-// printing, environment-variable knobs (every bench runs standalone with
-// sensible defaults; NEZHA_BENCH_* variables scale them up or down), and the
-// machine-readable JSON emitter behind the common `--json <path>` flag
-// (docs/OBSERVABILITY.md, "Perf-regression harness").
+// Shared helpers for the bench suite (bench/bench_suite.cpp) and the
+// reporting examples: aligned table printing and the machine-readable JSON
+// emitter behind their `--json <path>` flags (docs/OBSERVABILITY.md,
+// "Perf-regression harness").
 #pragma once
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -18,14 +18,6 @@
 
 namespace nezha::bench {
 
-/// Reads a positive integer knob from the environment, with a default.
-inline std::size_t EnvSize(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  const long long parsed = std::atoll(value);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
-
 /// Prints a section header matching the paper artifact style.
 inline void Header(const std::string& title, const std::string& subtitle) {
   std::printf("\n================================================================\n");
@@ -35,8 +27,13 @@ inline void Header(const std::string& title, const std::string& subtitle) {
 }
 
 /// Fixed-width row printer: Row({"col1", "col2"}) with a 14-char default.
+/// A cell as long as the width or longer still gets one trailing space, so
+/// neighbouring cells never run together.
 inline void Row(const std::vector<std::string>& cells, int width = 14) {
-  for (const auto& cell : cells) std::printf("%-*s", width, cell.c_str());
+  for (const auto& cell : cells) {
+    const int padded = std::max(width, static_cast<int>(cell.size()) + 1);
+    std::printf("%-*s", padded, cell.c_str());
+  }
   std::printf("\n");
 }
 
@@ -55,24 +52,13 @@ inline std::string FmtPct(double fraction) {
 }
 
 // ---------------------------------------------------------------------------
-// Machine-readable results: every bench binary accepts `--json <path>` (or
-// `--json=<path>`) and, when given, appends its measurements to a JSON report
-// shaped for bench/check_bench_regression:
+// Machine-readable results: a JSON report shaped for
+// bench/check_bench_regression:
 //   {"machine":..., "git_sha":..., "suite":...,
 //    "results":[{"bench","scheme","params":{...},"throughput_tps",
 //                "latency_ms","abort_rate","aborts":{cause: n, ...},
 //                "reorders":{"attempted","committed"}}, ...]}
 // ---------------------------------------------------------------------------
-
-/// Extracts the `--json <path>` / `--json=<path>` flag; empty = not given.
-inline std::string JsonPathFromArgs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) return argv[i + 1];
-    if (arg.rfind("--json=", 0) == 0) return arg.substr(7);
-  }
-  return "";
-}
 
 inline std::string MachineName() {
   char host[256] = {};
@@ -120,7 +106,7 @@ inline void AppendRollupJson(json::Value& result,
 
 /// One measured configuration of one bench.
 struct JsonResult {
-  std::string bench;    ///< e.g. "throughput", "abort_rate"
+  std::string bench;    ///< e.g. "suite", "fig11"
   std::string scheme;   ///< serial / occ / cg / nezha / nezha-noreorder
   json::Value params;   ///< workload parameters (object)
   double throughput_tps = 0;

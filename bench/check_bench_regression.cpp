@@ -12,7 +12,9 @@
 //
 // A result regresses when current < baseline * (1 - tolerance). Abort rates
 // are fully deterministic under fixed seeds, so they are compared with a
-// tight epsilon regardless of mode.
+// tight epsilon regardless of mode. Independently of the comparison, a row
+// in either file that reports an abort rate but no aborts in its rollup
+// (aborts.total) contradicts itself and fails.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -141,6 +143,18 @@ int main(int argc, char** argv) {
               base_index.size(), options.ratio_mode ? "ratio" : "absolute",
               options.tolerance * 100);
   int failures = 0;
+  const auto check_rollups = [&](const Value& doc, const std::string& path) {
+    for (const Value& result : doc["results"].AsArray()) {
+      const double abort_rate = result["abort_rate"].AsDouble();
+      if (abort_rate > 0 && result["aborts"]["total"].AsInt() == 0) {
+        std::printf("FAIL %-40s abort rate %.4f but aborts.total 0 in %s\n",
+                    ResultKey(result).c_str(), abort_rate, path.c_str());
+        ++failures;
+      }
+    }
+  };
+  check_rollups(*baseline, options.baseline);
+  check_rollups(*current, options.current);
   for (const Value& base : (*baseline)["results"].AsArray()) {
     const std::string key = ResultKey(base);
     const auto found = cur_index.find(key);

@@ -1,7 +1,7 @@
 // Sustained-load driver: continuous multi-epoch processing under steady
 // transaction arrival — the client-observed commit-latency harness behind
-// `bench/sustained_load.cpp` and the bench suite's sustained section
-// (docs/OBSERVABILITY.md, "Sustained-load latency").
+// the bench suite's `sustained_load` section (bench/bench_suite.cpp;
+// docs/OBSERVABILITY.md, "Sustained load & the latency gate").
 //
 // Unlike RunSimulation's closed-loop bursts (mine ω blocks, process, repeat
 // with a fresh batch), this driver models an open pipeline with explicit

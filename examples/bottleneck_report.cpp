@@ -15,8 +15,8 @@
 //
 // The defaults reproduce the 4096-tx epoch the bench suite's threads
 // dimension measures (512-tx blocks x 8 blocks, skew 0.6, seed 91000), so
-// the dominant stage printed here can be cross-checked against
-// bench/fig10_phase_breakdown's per-sub-phase latencies.
+// the dominant stage printed here can be cross-checked against the
+// per-sub-phase latencies of `nezha_bench_suite --only fig10`.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -219,9 +219,9 @@ int main(int argc, char** argv) {
   }
 
   // Phase-level dominant stage: depth-0 spans are the pipeline envelopes
-  // (validate / execute / cc / commit), the same partition
-  // bench/fig10_phase_breakdown measures — the two reports must name the
-  // same dominant phase on the same workload.
+  // (validate / execute / cc / commit), the same partition the bench
+  // suite's fig10 section measures — the two reports must name the same
+  // dominant phase on the same workload.
   std::map<std::string, double> phase_wall;
   for (const EpochReport& report : summary->reports) {
     for (const obs::StageSpan& span : report.profile.spans) {
@@ -254,7 +254,7 @@ int main(int argc, char** argv) {
   }
   if (!dominant_phase.empty()) {
     std::printf("  dominant phase: %s (%.2f ms total) — cross-check "
-                "bench/fig10_phase_breakdown\n",
+                "nezha_bench_suite --only fig10\n",
                 dominant_phase.c_str(), dominant_phase_ms);
   }
 
