@@ -21,16 +21,12 @@ using WriteBuffer = std::unordered_map<std::uint64_t, StateValue>;
 
 /// Canonical text encoding of the post-execution write buffer: header with
 /// the group/write counters, then one line per address in ascending address
-/// order. The buffer is an unordered_map, so sorting here is what makes the
-/// kExecute checkpoint independent of hash-table iteration order.
+/// order (`writes` is SortedWrites of the buffer, so the kExecute checkpoint
+/// does not depend on hash-table iteration order).
 std::string CanonicalWriteBufferEncoding(const ParallelExecStats& stats,
-                                         const WriteBuffer& buffer) {
-  std::vector<std::pair<std::uint64_t, StateValue>> items(buffer.begin(),
-                                                          buffer.end());
-  std::sort(items.begin(), items.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+                                         std::span<const StateWrite> writes) {
   std::string out;
-  out.reserve(64 + items.size() * 24);
+  out.reserve(64 + writes.size() * 24);
   out += "exec txs=";
   AppendU64(out, stats.committed_txs);
   out += " groups=";
@@ -40,34 +36,28 @@ std::string CanonicalWriteBufferEncoding(const ParallelExecStats& stats,
   out += " writes=";
   AppendU64(out, stats.writes_applied);
   out += " addrs=";
-  AppendU64(out, items.size());
+  AppendU64(out, writes.size());
   out += '\n';
-  for (const auto& [addr, value] : items) {
+  for (const StateWrite& w : writes) {
     out += "w ";
-    AppendU64(out, addr);
+    AppendU64(out, w.address.value);
     out += '=';
-    AppendI64(out, static_cast<std::int64_t>(value));
+    AppendI64(out, static_cast<std::int64_t>(w.value));
     out += '\n';
   }
   return out;
 }
 
 /// Applies the merged buffer to the StateDB in parallel. Every address has
-/// exactly one final value, so the apply is order-independent; sorting
-/// first keeps the chunk partition (and the sharded-lock access pattern)
+/// exactly one final value, so the apply is order-independent; the sorted
+/// order keeps the chunk partition (and the sharded-lock access pattern)
 /// deterministic for a given pool size.
-void ApplyBuffer(ThreadPool& pool, StateDB& state, const WriteBuffer& buffer) {
+void ApplyBuffer(ThreadPool& pool, StateDB& state,
+                 std::span<const StateWrite> writes) {
   obs::Stage stage("state_apply");
-  std::vector<std::pair<std::uint64_t, StateValue>> items(buffer.begin(),
-                                                          buffer.end());
-  std::sort(items.begin(), items.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   pool.ParallelForChunked(
-      0, items.size(),
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          state.Set(Address(items[i].first), items[i].second);
-        }
+      0, writes.size(), [&](std::size_t lo, std::size_t hi, std::size_t) {
+        state.ApplyWrites(writes.subspan(lo, hi - lo));
       });
 }
 
@@ -168,15 +158,16 @@ ParallelExecStats ExecuteScheduleParallel(ThreadPool& pool, StateDB& state,
   }
 
   stats.buffered_addresses = buffer.size();
+  const std::vector<StateWrite> writes = SortedWrites(buffer);
 
   analysis::DetCheckpointRecorder& det =
       analysis::DetCheckpointRecorder::Global();
   if (det.enabled()) {
     det.Record(analysis::DetStage::kExecute,
-               CanonicalWriteBufferEncoding(stats, buffer));
+               CanonicalWriteBufferEncoding(stats, writes));
   }
 
-  ApplyBuffer(pool, state, buffer);
+  ApplyBuffer(pool, state, writes);
   PublishExecObs(stats);
   return stats;
 }

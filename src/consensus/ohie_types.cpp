@@ -48,6 +48,9 @@ Result<OhieBlock> OhieBlock::Deserialize(std::string_view data,
     return Status::Corruption("truncated OHIE block header");
   }
   block.miner = static_cast<NodeId>(miner);
+  if (num_tips > (data.size() - offset) / 32) {
+    return Status::Corruption("OHIE parent tip count exceeds its bytes");
+  }
   block.parent_tips.resize(num_tips);
   for (std::uint64_t i = 0; i < num_tips; ++i) {
     if (offset + 32 > data.size()) {
@@ -72,11 +75,15 @@ Result<OhieBlock> OhieBlock::Deserialize(std::string_view data,
   if (!GetVarint64(data, &offset, &num_txs)) {
     return Status::Corruption("truncated OHIE tx count");
   }
+  // Every transaction takes at least one byte (its length prefix).
+  if (num_txs > data.size() - offset) {
+    return Status::Corruption("OHIE tx count exceeds its bytes");
+  }
   block.txs.reserve(num_txs);
   for (std::uint64_t i = 0; i < num_txs; ++i) {
     std::uint64_t tx_len = 0;
     if (!GetVarint64(data, &offset, &tx_len) ||
-        offset + tx_len > data.size()) {
+        tx_len > data.size() - offset) {
       return Status::Corruption("truncated OHIE tx");
     }
     auto tx = Transaction::Deserialize(data.substr(offset, tx_len));

@@ -63,6 +63,9 @@ Result<TGBlock> TGBlock::Deserialize(std::string_view data) {
   if (!GetVarint64(data, &offset, &num_refs)) {
     return Status::Corruption("truncated tree-graph reference count");
   }
+  if (num_refs > (data.size() - offset) / 32) {
+    return Status::Corruption("tree-graph reference count exceeds its bytes");
+  }
   block.references.resize(num_refs);
   for (std::uint64_t i = 0; i < num_refs; ++i) {
     if (!ReadHash256(data, &offset, &block.references[i])) {
@@ -76,11 +79,15 @@ Result<TGBlock> TGBlock::Deserialize(std::string_view data) {
   if (!GetVarint64(data, &offset, &num_txs)) {
     return Status::Corruption("truncated tree-graph tx count");
   }
+  // Every transaction takes at least one byte (its length prefix).
+  if (num_txs > data.size() - offset) {
+    return Status::Corruption("tree-graph tx count exceeds its bytes");
+  }
   block.txs.reserve(num_txs);
   for (std::uint64_t i = 0; i < num_txs; ++i) {
     std::uint64_t tx_len = 0;
     if (!GetVarint64(data, &offset, &tx_len) ||
-        offset + tx_len > data.size()) {
+        tx_len > data.size() - offset) {
       return Status::Corruption("truncated tree-graph tx");
     }
     auto tx = Transaction::Deserialize(data.substr(offset, tx_len));

@@ -74,7 +74,7 @@ Result<Block> Block::Deserialize(std::string_view data) {
   std::size_t offset = 0;
   std::uint64_t header_len = 0;
   if (!GetVarint64(data, &offset, &header_len) ||
-      offset + header_len > data.size()) {
+      header_len > data.size() - offset) {
     return Status::Corruption("truncated block");
   }
   auto header = BlockHeader::Deserialize(data.substr(offset, header_len));
@@ -86,11 +86,15 @@ Result<Block> Block::Deserialize(std::string_view data) {
   if (!GetVarint64(data, &offset, &num_txs)) {
     return Status::Corruption("truncated block tx count");
   }
+  // Every transaction takes at least one byte (its length prefix).
+  if (num_txs > data.size() - offset) {
+    return Status::Corruption("block tx count exceeds its bytes");
+  }
   block.transactions.reserve(num_txs);
   for (std::uint64_t i = 0; i < num_txs; ++i) {
     std::uint64_t tx_len = 0;
     if (!GetVarint64(data, &offset, &tx_len) ||
-        offset + tx_len > data.size()) {
+        tx_len > data.size() - offset) {
       return Status::Corruption("truncated block tx");
     }
     auto tx = Transaction::Deserialize(data.substr(offset, tx_len));

@@ -26,6 +26,11 @@ Result<Transaction> Transaction::Deserialize(std::string_view data) {
   }
   tx.payload.contract = static_cast<std::uint32_t>(contract);
   tx.payload.op = static_cast<std::uint32_t>(op);
+  // Every argument takes at least one byte: a larger count is corrupt, and
+  // must not size the reservation below.
+  if (num_args > data.size() - offset) {
+    return Status::Corruption("transaction arg count exceeds its bytes");
+  }
   tx.payload.args.reserve(num_args);
   for (std::uint64_t i = 0; i < num_args; ++i) {
     std::uint64_t arg = 0;

@@ -6,20 +6,92 @@
 // concurrency-control layer consumes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
+#include <stdexcept>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "common/sha256.h"
 #include "common/status.h"
 
 namespace nezha {
 
+/// A contract call's integer arguments. Up to kInline of them (the most any
+/// contract takes: the token contract's transferFrom) live in place, so a
+/// transaction owns no heap memory; a longer list, which only a malformed
+/// or future call carries, spills to the heap. Decoding accepts any length,
+/// and the contracts' arity checks see exactly what the wire said.
+class TxArgs {
+ public:
+  static constexpr std::size_t kInline = 4;
+
+  TxArgs() = default;
+  TxArgs(std::initializer_list<std::uint64_t> args) {
+    assign(args.begin(), args.end());
+  }
+  TxArgs(const TxArgs& other) { assign(other.begin(), other.end()); }
+  TxArgs(TxArgs&& other) noexcept { *this = std::move(other); }
+  TxArgs& operator=(const TxArgs& other) {
+    if (this != &other) assign(other.begin(), other.end());
+    return *this;
+  }
+  TxArgs& operator=(TxArgs&& other) noexcept {
+    if (this != &other) {
+      heap_ = std::move(other.heap_);
+      std::copy_n(other.inline_, kInline, inline_);
+      size_ = std::exchange(other.size_, 0);
+      capacity_ = std::exchange(other.capacity_, kInline);
+    }
+    return *this;
+  }
+
+  std::size_t size() const { return size_; }
+  const std::uint64_t* data() const { return heap_ ? heap_.get() : inline_; }
+  std::uint64_t* data() { return heap_ ? heap_.get() : inline_; }
+  const std::uint64_t* begin() const { return data(); }
+  const std::uint64_t* end() const { return data() + size_; }
+  const std::uint64_t& operator[](std::size_t i) const { return data()[i]; }
+  std::uint64_t& operator[](std::size_t i) { return data()[i]; }
+
+  void reserve(std::size_t n) {
+    if (n <= capacity_) return;
+    if (n > UINT32_MAX) throw std::length_error("TxArgs::reserve");
+    auto grown = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+    std::copy(begin(), end(), grown.get());
+    heap_ = std::move(grown);
+    capacity_ = static_cast<std::uint32_t>(n);
+  }
+  void push_back(std::uint64_t arg) {
+    if (size_ == capacity_) reserve(std::size_t{capacity_} * 2);
+    data()[size_++] = arg;
+  }
+  void assign(const std::uint64_t* first, const std::uint64_t* last) {
+    const auto n = static_cast<std::size_t>(last - first);
+    size_ = 0;
+    reserve(n);
+    std::copy(first, last, data());
+    size_ = static_cast<std::uint32_t>(n);
+  }
+
+  friend bool operator==(const TxArgs& a, const TxArgs& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::uint64_t inline_[kInline] = {};
+  std::unique_ptr<std::uint64_t[]> heap_;  ///< set once args outgrow inline_
+  std::uint32_t size_ = 0;
+  std::uint32_t capacity_ = kInline;
+};
+
 /// A structured contract call.
 struct TxPayload {
   std::uint32_t contract = 0;  ///< contract id (e.g. kSmallBankContract)
   std::uint32_t op = 0;        ///< operation selector within the contract
-  std::vector<std::uint64_t> args;
+  TxArgs args;
 
   friend bool operator==(const TxPayload& a, const TxPayload& b) {
     return a.contract == b.contract && a.op == b.op && a.args == b.args;
@@ -41,6 +113,10 @@ struct Transaction {
     return a.nonce == b.nonce && a.payload == b.payload;
   }
 };
+
+// Epochs hold thousands of transactions by value; keep each one within a
+// cache line and free of heap allocations.
+static_assert(sizeof(Transaction) <= 64);
 
 /// Cheap (non-cryptographic) 64-bit key over the transaction content, for
 /// keyed observability tables (obs::TxLifecycleTracer). Unlike Id() this

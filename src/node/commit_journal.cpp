@@ -73,6 +73,9 @@ Result<CommitJournal> CommitJournal::Deserialize(std::string_view data) {
       !GetVarint64(body, &offset, &count)) {
     return Status::Corruption("commit journal header does not parse");
   }
+  if (count > (body.size() - offset) / 32) {
+    return Status::Corruption("commit journal id count exceeds its bytes");
+  }
   journal.block_ids.resize(count);
   for (Hash256& id : journal.block_ids) {
     if (!GetHash(body, &offset, &id)) {
@@ -81,6 +84,9 @@ Result<CommitJournal> CommitJournal::Deserialize(std::string_view data) {
   }
   if (!GetVarint64(body, &offset, &count)) {
     return Status::Corruption("commit journal tip count truncated");
+  }
+  if (count > (body.size() - offset) / 36) {
+    return Status::Corruption("commit journal tip count exceeds its bytes");
   }
   journal.chain_tips.resize(count);
   for (auto& [chain, tip] : journal.chain_tips) {

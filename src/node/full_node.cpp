@@ -244,10 +244,10 @@ void RecordCommitCheckpoint(EpochId epoch, const EpochReport& report,
 }
 
 /// Serial's execute-and-commit loop: executes each transaction against the
-/// live state and applies its writes before the next one runs — what
-/// today's DAG-based blockchains do after consensus. An overlay over one
-/// snapshot makes each transaction see all earlier effects without
-/// re-snapshotting the whole state per transaction.
+/// live state before the next one runs — what today's DAG-based blockchains
+/// do after consensus. The live state is one snapshot plus an overlay of
+/// every earlier write, so no transaction re-snapshots the whole state; the
+/// overlay's final values reach the StateDB as one batch.
 void ExecuteSerially(StateDB& state, const EpochBatch& batch, ExecMode mode,
                      EpochReport& report) {
   const StateSnapshot base = state.MakeSnapshot(batch.epoch);
@@ -266,35 +266,32 @@ void ExecuteSerially(StateDB& state, const EpochBatch& batch, ExecMode mode,
     ReadWriteSet rw = view.TakeRWSet();
     for (std::size_t i = 0; i < rw.writes.size(); ++i) {
       overlay[rw.writes[i].value] = rw.write_values[i];
-      state.Set(rw.writes[i], rw.write_values[i]);
     }
     ++report.committed;
     lifecycle.StampTx(static_cast<std::uint32_t>(t), obs::TxStage::kExecuted);
   }
+  const std::vector<StateWrite> writes = SortedWrites(overlay);
+  state.ApplyWrites(writes);
+
   // Serial has no scheduler stages; its kExecute checkpoint is the overlay
-  // of all committed writes, in ascending address order (the overlay is an
-  // unordered_map — sorting is what makes the encoding canonical).
+  // of all committed writes, in ascending address order.
   analysis::DetCheckpointRecorder& det =
       analysis::DetCheckpointRecorder::Global();
   if (!det.enabled()) return;
-  std::vector<std::pair<std::uint64_t, StateValue>> items(overlay.begin(),
-                                                          overlay.end());
-  std::sort(items.begin(), items.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::string canonical;
-  canonical.reserve(64 + items.size() * 24);
+  canonical.reserve(64 + writes.size() * 24);
   canonical += "exec serial txs=";
   AppendU64(canonical, batch.txs.size());
   canonical += " committed=";
   AppendU64(canonical, report.committed);
   canonical += " addrs=";
-  AppendU64(canonical, items.size());
+  AppendU64(canonical, writes.size());
   canonical += '\n';
-  for (const auto& [addr, value] : items) {
+  for (const StateWrite& w : writes) {
     canonical += "w ";
-    AppendU64(canonical, addr);
+    AppendU64(canonical, w.address.value);
     canonical += '=';
-    AppendI64(canonical, static_cast<std::int64_t>(value));
+    AppendI64(canonical, static_cast<std::int64_t>(w.value));
     canonical += '\n';
   }
   det.Record(analysis::DetStage::kExecute, canonical);
@@ -412,8 +409,8 @@ Status FullNode::CommitEpochDurable(const EpochBatch& batch,
     return Status::Unavailable("fault: commit rejected before journal");
   }
   if (kv_ == nullptr) {
-    // No persistence attached: Flush() still syncs the commitment trie and
-    // clears the dirty markers; nothing can tear.
+    // No persistence attached: Flush() still clears the dirty markers;
+    // nothing can tear.
     if (Status s = state_.Flush(); !s.ok()) return s;
     ledger_.CommitEpochRootLocal(batch.epoch, report.state_root);
     RecordCommitCheckpoint(batch.epoch, report, nullptr);

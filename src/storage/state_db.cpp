@@ -10,14 +10,9 @@
 namespace nezha {
 namespace {
 
-// Hot-path metric handles: resolved once, then a relaxed atomic add per
-// access (docs/OBSERVABILITY.md).
-obs::Counter* ReadsCounter() {
-  static obs::Counter* c =
-      obs::Registry().GetCounter("nezha_statedb_reads_total");
-  return c;
-}
-
+// Counted once per ApplyWrites batch, not per cell: a per-access atomic on
+// one process-wide cache line is what parallel apply workers would contend
+// on (docs/OBSERVABILITY.md).
 obs::Counter* WritesCounter() {
   static obs::Counter* c =
       obs::Registry().GetCounter("nezha_statedb_writes_total");
@@ -26,24 +21,45 @@ obs::Counter* WritesCounter() {
 
 }  // namespace
 
-StateValue StateDB::Get(Address a) const {
-  ReadsCounter()->Inc();
+std::vector<StateWrite> SortedWrites(const StateSnapshot::Map& cells) {
+  std::vector<StateWrite> writes(cells.size());
+  std::transform(cells.begin(), cells.end(), writes.begin(),
+                 [](const auto& cell) {
+                   return StateWrite{Address(cell.first), cell.second};
+                 });
+  std::sort(writes.begin(), writes.end(),
+            [](const StateWrite& a, const StateWrite& b) {
+              return a.address < b.address;
+            });
+  return writes;
+}
+
+StateValue StateDB::Read(Address a) const {
   const Shard& shard = shards_[ShardOf(a)];
-  MutexLock lock(shard.mutex);
-  const auto it = shard.data.find(a.value);
-  return it == shard.data.end() ? 0 : it->second;
+  {
+    MutexLock lock(shard.mutex);
+    const auto it = shard.pending.find(a.value);
+    if (it != shard.pending.end()) return it->second.value;
+  }
+  const auto it = base_->find(a.value);
+  return it == base_->end() ? 0 : it->second;
+}
+
+StateValue StateDB::Get(Address a) const {
+  ReaderMutexLock base_lock(base_mutex_);
+  return Read(a);
 }
 
 void StateDB::Set(Address a, StateValue v) {
-  WritesCounter()->Inc();
   Shard& shard = shards_[ShardOf(a)];
   MutexLock lock(shard.mutex);
-  shard.data[a.value] = v;
+  shard.pending[a.value] = PendingCell{v, false};
   shard.dirty.insert(a.value);
 }
 
 void StateDB::ApplyWrites(std::span<const StateWrite> writes) {
   for (const StateWrite& w : writes) Set(w.address, w.value);
+  WritesCounter()->Inc(writes.size());
 }
 
 std::string StateDB::StateKey(Address a) {
@@ -58,33 +74,44 @@ std::string StateDB::EncodeValue(StateValue v) {
   return out;
 }
 
+void StateDB::SyncToTrie(Shard& shard) {
+  // The trie's root does not depend on insertion order.
+  for (auto& [addr, cell] : shard.pending) {
+    if (cell.in_trie) continue;
+    trie_.Put(StateKey(Address(addr)), EncodeValue(cell.value));
+    cell.in_trie = true;
+  }
+}
+
 Hash256 StateDB::RootHash() {
   MutexLock trie_lock(trie_mutex_);
   for (Shard& shard : shards_) {
     MutexLock lock(shard.mutex);
-    for (std::uint64_t addr : shard.dirty) {
-      trie_.Put(StateKey(Address(addr)), EncodeValue(shard.data[addr]));
-    }
-    // Entries stay dirty until Flush() persists them; the trie write is
-    // idempotent so re-putting on the next RootHash call is harmless.
+    SyncToTrie(shard);
   }
   return trie_.RootHash();
 }
 
 StateSnapshot StateDB::MakeSnapshot(EpochId epoch) {
-  const Hash256 root = RootHash();
-  auto merged = std::make_shared<StateSnapshot::Map>();
-  for (const Shard& shard : shards_) {
+  MutexLock trie_lock(trie_mutex_);
+  MutexLock base_lock(base_mutex_);
+  for (Shard& shard : shards_) {
     MutexLock lock(shard.mutex);
-    merged->insert(shard.data.begin(), shard.data.end());
+    if (shard.pending.empty()) continue;
+    SyncToTrie(shard);
+    // Copy-on-write: an older snapshot still reading the base keeps its
+    // view. After the first copy this DB is the only owner again.
+    if (base_.use_count() > 1) {
+      base_ = std::make_shared<StateSnapshot::Map>(*base_);
+    }
+    for (const auto& [addr, cell] : shard.pending) (*base_)[addr] = cell.value;
+    shard.pending.clear();
   }
-  return StateSnapshot(std::move(merged), root, epoch);
+  return StateSnapshot(base_, trie_.RootHash(), epoch);
 }
 
 void StateDB::AppendDirtyTo(WriteBatch& batch) {
-  // Sync the commitment trie before the dirty markers are consumed — the
-  // trie and the KV store share the same dirty set.
-  RootHash();
+  ReaderMutexLock base_lock(base_mutex_);
   // The dirty sets are unordered and were populated by however many threads
   // executed the epoch, so their iteration order varies run to run. Sort
   // before appending: the commit batch (and the journal redo payload built
@@ -97,9 +124,7 @@ void StateDB::AppendDirtyTo(WriteBatch& batch) {
   }
   std::sort(dirty.begin(), dirty.end());
   for (std::uint64_t addr : dirty) {
-    Shard& shard = shards_[ShardOf(Address(addr))];
-    MutexLock lock(shard.mutex);
-    batch.Put(StateKey(Address(addr)), EncodeValue(shard.data[addr]));
+    batch.Put(StateKey(Address(addr)), EncodeValue(Read(Address(addr))));
   }
 }
 
@@ -144,16 +169,21 @@ Status StateDB::LoadFromStorage() {
     const Address address(GetFixed64(std::string_view(it.key()).substr(2)));
     const auto value =
         static_cast<StateValue>(GetFixed64(it.value()));
-    Set(address, value);
+    Shard& shard = shards_[ShardOf(address)];
+    MutexLock lock(shard.mutex);
+    shard.pending[address.value] = PendingCell{value, false};
   }
   return Status::Ok();
 }
 
 std::size_t StateDB::Size() const {
-  std::size_t total = 0;
+  ReaderMutexLock base_lock(base_mutex_);
+  std::size_t total = base_->size();
   for (const Shard& shard : shards_) {
     MutexLock lock(shard.mutex);
-    total += shard.data.size();
+    for (const auto& entry : shard.pending) {
+      if (!base_->contains(entry.first)) ++total;
+    }
   }
   return total;
 }

@@ -10,6 +10,21 @@
 //    in parallel;
 //  * authenticated commitments via a Merkle Patricia Trie (the state root
 //    each block carries), and flushing to the underlying KVStore.
+//
+// Cost. The committed state is held once, in a base map that snapshots
+// share; cells written since the last snapshot sit in sharded pending maps,
+// which Get reads before the base. MakeSnapshot folds them into the base in
+// place, so it costs O(cells written since the previous snapshot). It copies
+// the whole base first only while an older snapshot still holds it (the
+// copy-on-write idiom of KVStore); the node drops each epoch's snapshot
+// before taking the next one.
+//
+// A written cell has two independent states. In the trie: a pending cell
+// records whether the commitment trie holds its value, so RootHash puts each
+// written cell once per epoch. KV-dirty: every Set marks the cell, and only
+// ClearDirty, once the AppendDirtyTo batch has landed, clears the mark.
+// LoadFromStorage's cells still need the trie but are not dirty: the store
+// already holds them.
 #pragma once
 
 #include <array>
@@ -69,10 +84,15 @@ struct StateWrite {
   StateValue value;
 };
 
+/// `cells` as writes in ascending address order: the canonical order that
+/// keeps hash-table iteration order out of checkpoints and apply chunks.
+std::vector<StateWrite> SortedWrites(const StateSnapshot::Map& cells);
+
 class StateDB {
  public:
   /// kv may be null (no persistence); the MPT commitment always works.
-  explicit StateDB(KVStore* kv = nullptr) : kv_(kv) {}
+  explicit StateDB(KVStore* kv = nullptr)
+      : kv_(kv), base_(std::make_shared<StateSnapshot::Map>()) {}
 
   StateValue Get(Address a) const;
   void Set(Address a, StateValue v);
@@ -82,11 +102,11 @@ class StateDB {
   /// (guaranteed for Nezha's same-sequence-number commit groups).
   void ApplyWrites(std::span<const StateWrite> writes);
 
-  /// Recomputes the MPT over all dirty addresses and returns the root.
+  /// Puts the written cells the commitment trie lacks and returns the root.
   Hash256 RootHash();
 
-  /// Creates an immutable snapshot tagged with the epoch id; also computes
-  /// the current root so validation can check it.
+  /// Creates an immutable snapshot tagged with the epoch id: syncs the root,
+  /// then folds the pending cells into the shared base (module comment).
   StateSnapshot MakeSnapshot(EpochId epoch);
 
   /// Flushes all dirty entries to the KVStore as one atomic batch.
@@ -94,10 +114,10 @@ class StateDB {
   Status Flush();
 
   /// Appends every dirty entry (as canonical StateKey/EncodeValue puts) to
-  /// `batch` after syncing the commitment trie, WITHOUT clearing the dirty
+  /// `batch` in ascending address order, WITHOUT clearing the dirty
   /// markers — the caller owns the KV write (FullNode folds the state flush
   /// into one atomic epoch-commit batch) and calls ClearDirty() once it
-  /// lands.
+  /// lands. Leaves the commitment trie alone: RootHash syncs it.
   void AppendDirtyTo(WriteBatch& batch);
 
   /// Marks every entry clean after the caller durably wrote the batch
@@ -112,7 +132,8 @@ class StateDB {
 
   /// Recovery: repopulates the DB from the "s/" records in the attached
   /// KVStore (the DB must be freshly constructed/empty). Loaded entries are
-  /// marked dirty so the commitment trie resyncs on the next RootHash().
+  /// already persisted, so they are not marked dirty; the commitment trie
+  /// takes them on the next RootHash().
   Status LoadFromStorage();
 
   std::size_t Size() const;
@@ -120,9 +141,15 @@ class StateDB {
  private:
   static constexpr std::size_t kNumShards = 64;
 
+  /// A cell written since the last snapshot.
+  struct PendingCell {
+    StateValue value = 0;
+    bool in_trie = false;  ///< the commitment trie holds `value`
+  };
+
   struct Shard {
     mutable Mutex mutex;
-    std::unordered_map<std::uint64_t, StateValue> data GUARDED_BY(mutex);
+    std::unordered_map<std::uint64_t, PendingCell> pending GUARDED_BY(mutex);
     std::unordered_set<std::uint64_t> dirty GUARDED_BY(mutex);
   };
 
@@ -137,11 +164,26 @@ class StateDB {
     return static_cast<std::size_t>(x ^ (x >> 31)) % kNumShards;
   }
 
+  /// The current value of `a`: its pending cell, else the base.
+  StateValue Read(Address a) const REQUIRES_SHARED(base_mutex_);
+
+  /// Puts the shard's pending cells the trie lacks.
+  void SyncToTrie(Shard& shard) REQUIRES(trie_mutex_, shard.mutex);
+
+  // Lock order: trie_mutex_, then base_mutex_, then one shard's mutex. Set
+  // takes only its shard's mutex, so concurrent writers never meet on a
+  // DB-wide lock.
   std::array<Shard, kNumShards> shards_;
   KVStore* kv_;
 
   Mutex trie_mutex_;
   MerklePatriciaTrie trie_ GUARDED_BY(trie_mutex_);
+
+  /// The committed state as of the last snapshot, shared with every
+  /// snapshot that still holds it. Only MakeSnapshot replaces or mutates
+  /// it, under the exclusive lock; readers take the shared lock.
+  mutable SharedMutex base_mutex_;
+  std::shared_ptr<StateSnapshot::Map> base_ GUARDED_BY(base_mutex_);
 };
 
 }  // namespace nezha

@@ -2,6 +2,7 @@
 // hashing, Merkle roots, epoch flattening, and parallel-chain validation.
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "ledger/block.h"
 #include "ledger/epoch.h"
 #include "ledger/ledger.h"
@@ -51,6 +52,72 @@ TEST(TransactionTest, DeserializeRejectsTrailing) {
   std::string bytes = MakeTx(1).Serialize();
   bytes += "x";
   EXPECT_FALSE(Transaction::Deserialize(bytes).ok());
+}
+
+TEST(TransactionTest, IdsArePinnedAcrossArgumentStorage) {
+  // Tx ids and tx roots are consensus-visible: they must not depend on how
+  // TxArgs stores the arguments. These values were computed when args was a
+  // std::vector; the batch spans 0 to 6 arguments (in place and spilled)
+  // and one- to ten-byte varints.
+  const std::vector<std::vector<std::uint64_t>> arg_lists = {
+      {}, {7}, {1, 2}, {300, 1ull << 35, 5}, {0, ~0ull, 128, 16384},
+      {1, 2, 3, 4, 5, 6}};
+  const char* const ids[] = {
+      "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
+      "dfeeb115dd2d6b4aad65346992ef70d9782c7c83158c7f245dd8668fad04c212",
+      "2aee433990947f59d5631dddd39b94f2e61af92ab6fb29ef6198a6188ffbe96a",
+      "902dc388db6d4eccbb71d9ad20bbf8b96aee96a5155d1bc68ae266e2c7e4eca8",
+      "a96485fd332b7310c799f539426b11d9398fd139765c7c7b136aafa2c59d1c24",
+      "a3dd052f7ee17c5708cd587bd208752f40715d60cc43705e8766f9da7553501b"};
+  std::vector<Transaction> txs;
+  std::uint64_t nonce = 0;
+  for (const auto& args : arg_lists) {
+    Transaction tx;
+    tx.nonce = nonce;
+    tx.payload.contract = static_cast<std::uint32_t>(nonce % 3);
+    tx.payload.op = static_cast<std::uint32_t>(nonce * 5);
+    tx.payload.args.assign(args.data(), args.data() + args.size());
+    txs.push_back(tx);
+    nonce = nonce * 1000 + 129;
+  }
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    EXPECT_EQ(txs[i].Id().ToHex(), ids[i]) << "tx " << i;
+  }
+  EXPECT_EQ(ComputeTxMerkleRoot(txs).ToHex(),
+            "dce310c1c203bea57e68d22ef2fad3d290cb505b7c2537d4b25cdde3f8fc614d");
+}
+
+TEST(TransactionTest, SixArgumentPayloadRoundTrips) {
+  Transaction tx;
+  tx.nonce = 9;
+  tx.payload.args = {1, 2, 3, 4, 5, ~0ull};  // more than TxArgs keeps in place
+  auto decoded = Transaction::Deserialize(tx.Serialize());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(*decoded, tx);
+  ASSERT_EQ(decoded->payload.args.size(), 6u);
+  EXPECT_EQ(decoded->payload.args[5], ~0ull);
+
+  Transaction copy = *decoded;
+  Transaction moved = std::move(*decoded);
+  EXPECT_EQ(copy, tx);
+  EXPECT_EQ(moved, tx);
+  copy.payload.args = {4};
+  EXPECT_EQ(copy.payload.args.size(), 1u);
+  EXPECT_EQ(moved.payload.args.size(), 6u);
+}
+
+TEST(TransactionTest, DeserializeRejectsArgCountBeyondItsBytes) {
+  // nonce, contract and op, then an argument count no input can back: it
+  // must come back as Corruption before anything is reserved for it.
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 62, std::uint64_t{3}}) {
+    std::string bytes(3, '\0');
+    PutVarint64(bytes, count);
+    bytes += "\x01\x02";
+    Status status = Status::Internal("threw");
+    EXPECT_NO_THROW(status = Transaction::Deserialize(bytes).status()) << count;
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << count;
+  }
 }
 
 // ---------- Merkle root ----------
@@ -104,6 +171,21 @@ TEST(BlockTest, HashCoversHeaderFields) {
   EXPECT_EQ(a.Hash(), b.Hash());
   b.header.prev_state_root.bytes[0] = 1;
   EXPECT_NE(a.Hash(), b.Hash());
+}
+
+TEST(BlockTest, DeserializeRejectsTxCountBeyondItsBytes) {
+  const std::string header = BlockHeader{}.Serialize();
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 62, std::uint64_t{2}}) {
+    std::string bytes;
+    PutVarint64(bytes, header.size());
+    bytes += header;
+    PutVarint64(bytes, count);
+    bytes.push_back('\0');  // one empty transaction's length prefix
+    Status status = Status::Internal("threw");
+    EXPECT_NO_THROW(status = Block::Deserialize(bytes).status()) << count;
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << count;
+  }
 }
 
 // ---------- EpochBatch ----------

@@ -5,6 +5,8 @@
 
 #include <atomic>
 
+#include "analysis/det_checkpoint.h"
+#include "common/bytes.h"
 #include "common/thread_pool.h"
 #include "fault/fault.h"
 #include "node/commit_journal.h"
@@ -196,6 +198,73 @@ TEST(NodeRecoveryTest, RestartContinuesIdenticallyToUnbrokenRun) {
   EXPECT_EQ(resumed, continuous);
 }
 
+TEST(NodeRecoveryTest, FirstCommitAfterRecoveryWritesOnlyItsEpoch) {
+  // The state a recovery loads is already in storage: epoch 3's commit
+  // batch after a crash at epoch 2 must hold what the uninterrupted node's
+  // holds (its kCommit checkpoint covers the record count, bytes and
+  // digest), not every loaded cell again.
+  NodeConfig config;
+  config.worker_threads = 2;
+  config.max_chains = 2;
+  WorkloadConfig wl;
+  wl.num_accounts = 300;
+  const auto genesis = [&](FullNode& node) {
+    SmallBankWorkload::InitAccounts(node.state(), wl.num_accounts, 100, 100);
+    ASSERT_TRUE(node.state().Flush().ok());
+    node.ledger().CommitEpochRoot(0, node.state().RootHash());
+  };
+  const auto run_epoch = [](FullNode& node, SmallBankWorkload& workload,
+                            EpochId epoch) {
+    for (ChainId chain = 0; chain < 2; ++chain) {
+      Block block =
+          node.ledger().BuildBlock(chain, epoch, workload.MakeBatch(20));
+      ASSERT_TRUE(node.ledger().AppendBlock(std::move(block)).ok());
+    }
+    auto batch = node.ledger().SealEpoch(epoch);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_TRUE(node.ProcessEpoch(*batch).ok());
+  };
+  analysis::DetCheckpointRecorder& det =
+      analysis::DetCheckpointRecorder::Global();
+  det.SetEnabled(true);
+  det.SetCapture(true);
+  det.Clear();
+  const auto commit_record = [&det] {
+    const auto record = det.Find(3);
+    return record && record->Has(analysis::DetStage::kCommit)
+               ? record->Canonical(analysis::DetStage::kCommit)
+               : std::string("missing");
+  };
+
+  KVStore kv_a;
+  FullNode node_a(config, &kv_a);
+  SmallBankWorkload workload_a(wl, 5);
+  genesis(node_a);
+  for (EpochId epoch = 1; epoch <= 3; ++epoch) {
+    run_epoch(node_a, workload_a, epoch);
+  }
+  const std::string uninterrupted = commit_record();
+
+  KVStore kv_b;
+  SmallBankWorkload workload_b(wl, 5);
+  {
+    FullNode node_b(config, &kv_b);
+    genesis(node_b);
+    run_epoch(node_b, workload_b, 1);
+    run_epoch(node_b, workload_b, 2);
+  }  // crash after epoch 2
+  FullNode recovered(config, &kv_b);
+  ASSERT_TRUE(recovered.Recover().ok());
+  run_epoch(recovered, workload_b, 3);
+  const std::string resumed = commit_record();
+
+  det.SetCapture(false);
+  det.SetEnabled(std::nullopt);
+  det.Clear();
+  EXPECT_NE(uninterrupted, "missing");
+  EXPECT_EQ(resumed, uninterrupted);
+}
+
 TEST(NodeRecoveryTest, DetectsStateLedgerMismatch) {
   KVStore kv;
   {
@@ -259,6 +328,24 @@ TEST(CommitJournalTest, EveryByteFlipIsDetected) {
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     EXPECT_FALSE(CommitJournal::Deserialize(bytes.substr(0, len)).ok())
         << "truncated to " << len;
+  }
+}
+
+TEST(CommitJournalTest, CountsBeyondTheirBytesRejected) {
+  // A well-checksummed frame whose block-id or tip count no body can back
+  // must be Corruption, not a throw or an oversized allocation.
+  for (const bool tips : {false, true}) {
+    std::string body = "NZJL";
+    PutVarint64(body, 1);                 // epoch
+    body += std::string(64, '\0');        // state and receipt roots
+    if (tips) PutVarint64(body, 0);       // no block ids
+    PutVarint64(body, std::uint64_t{1} << 62);
+    body += std::string(40, '\0');
+    const Hash256 digest = Sha256::Digest(body);
+    body.append(reinterpret_cast<const char*>(digest.bytes.data()), 32);
+    Status status = Status::Internal("threw");
+    EXPECT_NO_THROW(status = CommitJournal::Deserialize(body).status());
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << "tips=" << tips;
   }
 }
 

@@ -2,6 +2,7 @@
 // state-sync protocol.
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "consensus/ohie_node.h"
 #include "consensus/treegraph.h"
 #include "node/state_sync.h"
@@ -69,6 +70,25 @@ TEST(OhieWireTest, TruncationRejected) {
   EXPECT_FALSE(OhieBlock::Deserialize(bytes + "x", 2).ok());
 }
 
+TEST(OhieWireTest, CountsBeyondTheirBytesRejected) {
+  // miner, mine counter, then a parent-tip count; or no tips, a tx root and
+  // a tx count. Counts no input can back must be Corruption, not a throw.
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 62, std::uint64_t{2}}) {
+    std::string tips(2, '\0');
+    PutVarint64(tips, count);
+    tips += std::string(32, '\0');
+    std::string txs(3 + 32, '\0');
+    PutVarint64(txs, count);
+    txs.push_back('\0');
+    for (const std::string& bytes : {tips, txs}) {
+      Status status = Status::Internal("threw");
+      EXPECT_NO_THROW(status = OhieBlock::Deserialize(bytes, 2).status());
+      EXPECT_EQ(status.code(), StatusCode::kCorruption) << count;
+    }
+  }
+}
+
 // ---------- tree-graph block wire format ----------
 
 TEST(TreeGraphWireTest, RoundTripAndAttach) {
@@ -94,6 +114,25 @@ TEST(TreeGraphWireTest, RoundTripAndAttach) {
 TEST(TreeGraphWireTest, GarbageRejected) {
   EXPECT_FALSE(TGBlock::Deserialize("garbage").ok());
   EXPECT_FALSE(TGBlock::Deserialize("").ok());
+}
+
+TEST(TreeGraphWireTest, CountsBeyondTheirBytesRejected) {
+  // miner, mine counter and parent, then a reference count; or no
+  // references, a tx root and a tx count.
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 62, std::uint64_t{2}}) {
+    std::string refs(2 + 32, '\0');
+    PutVarint64(refs, count);
+    refs += std::string(32, '\0');
+    std::string txs(2 + 32 + 1 + 32, '\0');
+    PutVarint64(txs, count);
+    txs.push_back('\0');
+    for (const std::string& bytes : {refs, txs}) {
+      Status status = Status::Internal("threw");
+      EXPECT_NO_THROW(status = TGBlock::Deserialize(bytes).status());
+      EXPECT_EQ(status.code(), StatusCode::kCorruption) << count;
+    }
+  }
 }
 
 // ---------- state sync ----------

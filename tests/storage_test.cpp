@@ -1,9 +1,14 @@
 // Unit tests for the KV store, write batches, and the StateDB.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <thread>
 
+#include "common/bytes.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
+#include "fault/fault.h"
 #include "storage/kvstore.h"
 #include "storage/state_db.h"
 #include "storage/write_batch.h"
@@ -286,6 +291,161 @@ TEST(StateDBTest, SnapshotSizeMatches) {
   StateDB db;
   for (std::uint64_t i = 0; i < 100; ++i) db.Set(Address(i), 1);
   EXPECT_EQ(db.MakeSnapshot(0).Size(), 100u);
+}
+
+// ---------- StateDB against a copying model ----------
+
+/// The StateDB contract restated as the simplest thing that meets it: a
+/// std::map whose snapshots are full copies, a dirty set that every write
+/// marks, and the cells the successful flushes persisted.
+struct StateModel {
+  using Cells = std::map<std::uint64_t, StateValue>;
+  Cells cells;
+  std::set<std::uint64_t> dirty;
+  Cells persisted;
+
+  void Set(std::uint64_t a, StateValue v) {
+    cells[a] = v;
+    dirty.insert(a);
+  }
+  static StateValue Get(const Cells& from, std::uint64_t a) {
+    const auto it = from.find(a);
+    return it == from.end() ? 0 : it->second;
+  }
+  static Hash256 Root(const Cells& from) {
+    MerklePatriciaTrie trie;
+    for (const auto& [a, v] : from) {
+      trie.Put(StateDB::StateKey(Address(a)), StateDB::EncodeValue(v));
+    }
+    return trie.RootHash();
+  }
+  std::string DirtyBatch() const {
+    WriteBatch batch;
+    for (const std::uint64_t a : dirty) {
+      batch.Put(StateDB::StateKey(Address(a)),
+                StateDB::EncodeValue(cells.at(a)));
+    }
+    return batch.Serialize();
+  }
+};
+
+StateModel::Cells PersistedCells(const KVStore& kv) {
+  StateModel::Cells out;
+  for (auto it = kv.NewIterator("s/", "s0"); it.Valid(); it.Next()) {
+    out[GetFixed64(std::string_view(it.key()).substr(2))] =
+        static_cast<StateValue>(GetFixed64(it.value()));
+  }
+  return out;
+}
+
+TEST(StateDBTest, MatchesCopyingModelUnderRandomOperations) {
+  constexpr std::uint64_t kCells = 40;  // few, so writes collide often
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    const auto value = [&rng] {
+      return static_cast<StateValue>(rng.Below(2001)) - 1000;
+    };
+    KVStore kv;
+    StateDB db(&kv);
+    StateModel model;
+    struct Held {
+      StateSnapshot snapshot;
+      StateModel::Cells cells;
+    };
+    std::vector<Held> held;
+    EpochId epoch = 0;
+    for (int step = 0; step < 300 && !HasFailure(); ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      switch (rng.Below(10)) {
+        case 0:
+        case 1: {
+          const std::uint64_t a = rng.Below(kCells);
+          const StateValue v = value();
+          db.Set(Address(a), v);
+          model.Set(a, v);
+          break;
+        }
+        case 2: {  // repeats allowed: the last write to a cell wins
+          std::vector<StateWrite> writes(rng.Between(1, 6));
+          for (StateWrite& w : writes) {
+            w = {Address(rng.Below(kCells)), value()};
+            model.Set(w.address.value, w.value);
+          }
+          db.ApplyWrites(writes);
+          break;
+        }
+        case 3: {  // some snapshots are held across later writes
+          StateSnapshot snapshot = db.MakeSnapshot(++epoch);
+          EXPECT_EQ(snapshot.root(), StateModel::Root(model.cells));
+          EXPECT_EQ(snapshot.epoch(), epoch);
+          if (rng.Chance(0.5)) {
+            held.push_back({std::move(snapshot), model.cells});
+          }
+          if (!held.empty() && rng.Chance(0.3)) {
+            held.erase(held.begin() +
+                       static_cast<std::ptrdiff_t>(rng.Below(held.size())));
+          }
+          break;
+        }
+        case 4:
+          EXPECT_EQ(db.RootHash(), StateModel::Root(model.cells));
+          break;
+        case 5: {
+          WriteBatch batch;
+          db.AppendDirtyTo(batch);
+          EXPECT_EQ(batch.Serialize(), model.DirtyBatch());
+          break;
+        }
+        case 6: {  // the write is rejected: every dirty marker stays
+          fault::ScopedPlan armed(
+              fault::Plan().FailAt(fault::sites::kKvWrite));
+          EXPECT_EQ(db.Flush().ok(), model.dirty.empty());
+          break;
+        }
+        case 7:
+          ASSERT_TRUE(db.Flush().ok());
+          for (const std::uint64_t a : model.dirty) {
+            model.persisted[a] = model.cells.at(a);
+          }
+          model.dirty.clear();
+          break;
+        case 8: {  // the caller writes the appended batch itself
+          WriteBatch batch;
+          db.AppendDirtyTo(batch);
+          ASSERT_TRUE(kv.Write(batch).ok());
+          db.ClearDirty();
+          for (const std::uint64_t a : model.dirty) {
+            model.persisted[a] = model.cells.at(a);
+          }
+          model.dirty.clear();
+          break;
+        }
+        case 9: {  // a recovery from what the flushes persisted
+          StateDB recovered(&kv);
+          ASSERT_TRUE(recovered.LoadFromStorage().ok());
+          EXPECT_EQ(recovered.Size(), model.persisted.size());
+          EXPECT_EQ(recovered.RootHash(), StateModel::Root(model.persisted));
+          WriteBatch batch;
+          recovered.AppendDirtyTo(batch);
+          EXPECT_TRUE(batch.Empty());
+          break;
+        }
+      }
+      for (std::uint64_t a = 0; a <= kCells; ++a) {
+        EXPECT_EQ(db.Get(Address(a)), StateModel::Get(model.cells, a)) << a;
+      }
+      EXPECT_EQ(db.Size(), model.cells.size());
+      for (const Held& h : held) {
+        EXPECT_EQ(h.snapshot.Size(), h.cells.size());
+        for (std::uint64_t a = 0; a <= kCells; ++a) {
+          EXPECT_EQ(h.snapshot.Get(Address(a)), StateModel::Get(h.cells, a))
+              << "held snapshot, cell " << a;
+        }
+      }
+      EXPECT_EQ(PersistedCells(kv), model.persisted);
+    }
+  }
 }
 
 }  // namespace
